@@ -5,10 +5,12 @@
 //
 //   bench_columnar_scan [--smoke] [--json <path>]
 //
-// The row scan must deserialize every full record before the select and
-// project operators see it; the columnar scan reads only the three needed
-// column pages (name, score, age), evaluates age > 85 on the packed int64
-// column, and materializes just the ~4% of rows that survive. Both
+// The row scan builds only the three needed fields (name, score, age) of
+// every record, but must still read and walk over every record's bytes,
+// and the select operator evaluates age > 85 on each; the columnar scan
+// reads only the three needed column pages, evaluates age > 85 on the
+// packed int64 column, and materializes just the ~4% of rows that
+// survive. Both
 // datasets are checkpointed before timing so every timed scan runs against
 // immutable disk components (one per partition: the memory budget is sized
 // so nothing auto-flushes mid-load), and both queries are verified to

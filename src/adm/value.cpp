@@ -81,6 +81,17 @@ Value Value::Multiset(std::vector<Value> items) {
 }
 
 Value Value::Object(FieldVec fields) {
+  Value out;
+  out.tag_ = TypeTag::kObject;
+  // Serialized objects are already canonical (strictly sorted, so no
+  // duplicates): take them as they are.
+  auto unordered = std::adjacent_find(
+      fields.begin(), fields.end(),
+      [](const auto& a, const auto& b) { return a.first >= b.first; });
+  if (unordered == fields.end()) {
+    out.fields_ = std::make_shared<const FieldVec>(std::move(fields));
+    return out;
+  }
   // Stable sort + keep the last occurrence of each duplicate name.
   std::stable_sort(fields.begin(), fields.end(),
                    [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -93,8 +104,6 @@ Value Value::Object(FieldVec fields) {
       dedup.emplace_back(std::move(f));
     }
   }
-  Value out;
-  out.tag_ = TypeTag::kObject;
   out.fields_ = std::make_shared<const FieldVec>(std::move(dedup));
   return out;
 }

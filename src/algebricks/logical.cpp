@@ -4,6 +4,19 @@
 
 namespace asterix::algebricks {
 
+namespace {
+// " project:[a,b]" when a field set was pushed into a scan or index search.
+void PrintProjection(const LogicalOp& op, std::ostream& out) {
+  if (!op.scan_fields_pushed) return;
+  out << " project:[";
+  for (size_t i = 0; i < op.scan_fields.size(); i++) {
+    if (i) out << ",";
+    out << op.scan_fields[i];
+  }
+  out << "]";
+}
+}  // namespace
+
 std::vector<VarId> LogicalOp::schema() const {
   switch (kind) {
     case LogicalOpKind::kEmptySource:
@@ -60,14 +73,7 @@ std::string LogicalOp::ToString(int indent) const {
       break;
     case LogicalOpKind::kDataScan:
       out << "data-scan " << dataset << " -> $" << scan_var;
-      if (scan_fields_pushed) {
-        out << " project:[";
-        for (size_t i = 0; i < scan_fields.size(); i++) {
-          if (i) out << ",";
-          out << scan_fields[i];
-        }
-        out << "]";
-      }
+      PrintProjection(*this, out);
       for (const auto& p : scan_predicates) {
         out << " where:" << p.field << " " << p.cmp << " "
             << p.constant.ToString();
@@ -82,6 +88,7 @@ std::string LogicalOp::ToString(int indent) const {
       out << "index-search[" << path << "] " << dataset;
       if (!index_name.empty()) out << "." << index_name;
       out << " -> $" << scan_var;
+      PrintProjection(*this, out);
       if (search_lo) out << " lo=" << search_lo->ToString();
       if (search_hi) out << " hi=" << search_hi->ToString();
       if (!sort_pks_before_fetch) out << " (unsorted-fetch)";

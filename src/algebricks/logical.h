@@ -57,8 +57,8 @@ struct LogicalOp {
   // kDataScan
   std::string dataset;
   VarId scan_var = -1;
-  /// Columnar pushdown (optimizer-filled, columnar datasets only; see
-  /// PushColumnarScans). Predicates are conjuncts absorbed from a Select:
+  /// Predicate pushdown (optimizer-filled, columnar datasets only; see
+  /// PushScanPredicates). Predicates are conjuncts absorbed from a Select:
   /// field <cmp> constant, with cmp one of eq/lt/le/gt/ge.
   struct ScanPredicate {
     std::string field;
@@ -67,7 +67,9 @@ struct LogicalOp {
   };
   std::vector<ScanPredicate> scan_predicates;
   /// Projected top-level fields, valid iff scan_fields_pushed (an empty
-  /// pushed set is legal — COUNT(*) touches no fields).
+  /// pushed set is legal — COUNT(*) touches no fields). Filled by
+  /// ComputeScanProjections for kDataScan and kIndexSearch over any
+  /// storage format.
   std::vector<std::string> scan_fields;
   bool scan_fields_pushed = false;
 

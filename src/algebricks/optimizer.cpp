@@ -470,22 +470,27 @@ void CollectFieldUsesInPlan(const LogicalOp& op, VarId var,
   for (const auto& c : op.children) CollectFieldUsesInPlan(*c, var, fields, whole);
 }
 
-void FindDataScans(const LogicalOpPtr& op, std::vector<LogicalOp*>* scans) {
-  if (op->kind == LogicalOpKind::kDataScan) scans->push_back(op.get());
-  for (const auto& c : op->children) FindDataScans(c, scans);
+// DataScans and IndexSearches: both bind one record variable per row of a
+// stored dataset.
+void FindRecordSources(const LogicalOpPtr& op, std::vector<LogicalOp*>* scans) {
+  if (op->kind == LogicalOpKind::kDataScan ||
+      op->kind == LogicalOpKind::kIndexSearch) {
+    scans->push_back(op.get());
+  }
+  for (const auto& c : op->children) FindRecordSources(c, scans);
 }
 
-// For every columnar DataScan whose variable is consumed only through
-// constant field accesses, push the accessed field set into the scan so the
-// runtime reads only those columns. Runs last (after dead-assign removal)
-// so the analysis sees the minimal plan.
+// For every scan or index search whose variable is consumed only through
+// constant field accesses, push the accessed field set into it so the
+// runtime reads only those columns (columnar) or builds only those fields
+// (row). Runs last (after dead-assign removal) so the analysis sees the
+// minimal plan.
 void ComputeScanProjections(const LogicalOpPtr& root, const Catalog& catalog,
                             bool* changed) {
   std::vector<LogicalOp*> scans;
-  FindDataScans(root, &scans);
+  FindRecordSources(root, &scans);
   for (LogicalOp* scan : scans) {
     if (!catalog.HasDataset(scan->dataset)) continue;
-    if (catalog.StorageFormat(scan->dataset) != "columnar") continue;
     bool whole = false;
     std::set<std::string> fields;
     CollectFieldUsesInPlan(*root, scan->scan_var, &fields, &whole);
@@ -579,7 +584,7 @@ Result<LogicalOpPtr> Optimize(LogicalOpPtr root, const Catalog& catalog,
     IntroduceIndexSearches(&root, catalog, options.sort_pks_before_fetch,
                            &changed);
   }
-  if (options.columnar_scan_pushdown) {
+  if (options.scan_pushdown) {
     // After index selection on purpose: an indexable conjunct becomes an
     // IndexSearch first; only scans with no access path absorb predicates.
     bool changed = false;
@@ -593,7 +598,7 @@ Result<LogicalOpPtr> Optimize(LogicalOpPtr root, const Catalog& catalog,
       if (!changed) break;
     }
   }
-  if (options.columnar_scan_pushdown) {
+  if (options.scan_pushdown) {
     bool changed = false;
     ComputeScanProjections(root, catalog, &changed);
   }

@@ -2,8 +2,10 @@
 // + "Rule Sets"). Rules: constant folding, conjunct splitting, select
 // push-down (below assigns/unnests, into join branches and join
 // conditions), access-path selection (primary/secondary B+tree, R-tree,
-// inverted keyword — §III item 8), and dead-assign elimination. Each rule
-// can be toggled off for the Fig. 5 ablation benchmark.
+// inverted keyword — §III item 8), dead-assign elimination, and scan
+// pushdown (field projection for every dataset, comparison predicates for
+// columnar ones). Each rule can be toggled off for the Fig. 5 ablation
+// benchmark.
 #pragma once
 
 #include <memory>
@@ -33,7 +35,7 @@ class Catalog {
   virtual std::vector<IndexInfo> SecondaryIndexes(
       const std::string& name) const = 0;
   /// Physical storage format of the dataset's components ("row" or
-  /// "columnar"). Columnar pushdown rules only fire for "columnar".
+  /// "columnar"). Predicate pushdown only fires for "columnar".
   virtual std::string StorageFormat(const std::string& name) const {
     (void)name;
     return "row";
@@ -49,9 +51,12 @@ struct OptimizerOptions {
   bool dead_assign_elimination = true;
   /// The [26] trick: sort secondary-index result PKs before primary fetch.
   bool sort_pks_before_fetch = true;
-  /// Push projections and comparison conjuncts into scans over columnar
-  /// datasets (paper §VII: columnar storage). Off = scans stay row-shaped.
-  bool columnar_scan_pushdown = true;
+  /// Push each scan's and index search's accessed field set into it, so
+  /// row datasets build only those fields and columnar datasets read only
+  /// those columns; over columnar datasets also push comparison conjuncts
+  /// (predicates stay columnar-only; paper §VII: columnar storage). Off =
+  /// every record is decoded whole.
+  bool scan_pushdown = true;
 };
 
 /// Rewrite `root` to a (hopefully) better plan. Pure function of the tree.

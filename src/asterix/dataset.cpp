@@ -201,11 +201,6 @@ Result<bool> DatasetPartition::DeleteByKey(const Value& pk, bool log) {
 
 Result<bool> DatasetPartition::Get(const Value& pk, Value* record) const {
   AX_ASSIGN_OR_RETURN(std::string pk_key, EncodePk(pk));
-  return GetByEncodedPk(pk_key, record);
-}
-
-Result<bool> DatasetPartition::GetByEncodedPk(const std::string& pk_key,
-                                              Value* record) const {
   std::string raw;
   AX_ASSIGN_OR_RETURN(bool found, primary_->Get(pk_key, &raw));
   if (!found) return false;

@@ -55,9 +55,6 @@ class DatasetPartition {
 
   /// Point lookup by primary key value.
   Result<bool> Get(const adm::Value& pk, adm::Value* record) const;
-  /// Point lookup by encoded primary key.
-  Result<bool> GetByEncodedPk(const std::string& pk_key,
-                              adm::Value* record) const;
 
   /// Snapshot scan over the partition's records.
   Result<storage::LsmBTree::Iterator> ScanIterator() const;

@@ -33,7 +33,8 @@ namespace {
 /// Wraps an LSM snapshot scan of one dataset partition as a TupleStream.
 class PartitionScanSource : public hyracks::TupleStream {
  public:
-  explicit PartitionScanSource(const DatasetPartition* part) : part_(part) {}
+  PartitionScanSource(const DatasetPartition* part, adm::RecordDecoder decoder)
+      : part_(part), decoder_(std::move(decoder)) {}
   Status Open() override {
     AX_ASSIGN_OR_RETURN(auto it, part_->ScanIterator());
     it_ = std::make_unique<storage::LsmBTree::Iterator>(std::move(it));
@@ -42,7 +43,7 @@ class PartitionScanSource : public hyracks::TupleStream {
   }
   Result<bool> Next(Tuple* out) override {
     if (!it_ || !it_->Valid()) return false;
-    AX_ASSIGN_OR_RETURN(adm::Value record, adm::Deserialize(it_->value()));
+    AX_ASSIGN_OR_RETURN(adm::Value record, decoder_.Decode(it_->value()));
     out->fields.clear();
     out->fields.push_back(std::move(record));
     AX_RETURN_NOT_OK(it_->Next());
@@ -52,7 +53,7 @@ class PartitionScanSource : public hyracks::TupleStream {
     out->Clear();
     while (it_ && it_->Valid() && !out->full()) {
       AX_RETURN_NOT_OK(PollAlive());
-      AX_ASSIGN_OR_RETURN(adm::Value record, adm::Deserialize(it_->value()));
+      AX_ASSIGN_OR_RETURN(adm::Value record, decoder_.Decode(it_->value()));
       Tuple* t = out->Add();
       t->fields.push_back(std::move(record));
       AX_RETURN_NOT_OK(it_->Next());
@@ -63,11 +64,13 @@ class PartitionScanSource : public hyracks::TupleStream {
   }
   Status Close() override {
     it_.reset();
+    decoder_.Flush();
     return Status::OK();
   }
 
  private:
   const DatasetPartition* part_;
+  adm::RecordDecoder decoder_;
   std::unique_ptr<storage::LsmBTree::Iterator> it_;
 };
 
@@ -77,7 +80,8 @@ class IndexSearchSource : public hyracks::TupleStream {
  public:
   IndexSearchSource(const DatasetPartition* part, const LogicalOp* op,
                     bool sort_pks, const algebricks::FunctionRegistry* fns)
-      : part_(part), op_(op), sort_pks_(sort_pks), fns_(fns) {}
+      : part_(part), op_(op), sort_pks_(sort_pks), fns_(fns),
+        decoder_(op->scan_fields, op->scan_fields_pushed) {}
 
   Status Open() override {
     pos_ = 0;
@@ -93,14 +97,9 @@ class IndexSearchSource : public hyracks::TupleStream {
     std::vector<std::string> pks;
     switch (op_->access_path) {
       case AccessPathKind::kPrimaryLookup: {
-        adm::Value record;
-        AX_ASSIGN_OR_RETURN(bool found, part_->Get(lo, &record));
-        if (found) {
-          Tuple t;
-          t.fields.push_back(std::move(record));
-          rows_.push_back(std::move(t));
-        }
-        return Status::OK();
+        AX_ASSIGN_OR_RETURN(std::string pk, DatasetPartition::EncodePk(lo));
+        pks.push_back(std::move(pk));
+        break;
       }
       case AccessPathKind::kPrimaryRange: {
         AX_ASSIGN_OR_RETURN(auto it, part_->ScanIterator());
@@ -114,10 +113,7 @@ class IndexSearchSource : public hyracks::TupleStream {
         }
         AX_RETURN_NOT_OK(it.Seek(lo_key));
         while (it.Valid() && it.key() <= hi_key) {
-          AX_ASSIGN_OR_RETURN(adm::Value record, adm::Deserialize(it.value()));
-          Tuple t;
-          t.fields.push_back(std::move(record));
-          rows_.push_back(std::move(t));
+          AX_RETURN_NOT_OK(Emit(it.value()));
           AX_RETURN_NOT_OK(it.Next());
         }
         return Status::OK();
@@ -145,13 +141,11 @@ class IndexSearchSource : public hyracks::TupleStream {
     // The [26] trick: sort PKs so the primary fetch sweeps the B+tree in
     // key order instead of random-probing it.
     if (sort_pks_) std::sort(pks.begin(), pks.end());
+    std::string raw;
     for (const auto& pk : pks) {
-      adm::Value record;
-      AX_ASSIGN_OR_RETURN(bool found, part_->GetByEncodedPk(pk, &record));
+      AX_ASSIGN_OR_RETURN(bool found, part_->primary()->Get(pk, &raw));
       if (!found) continue;  // racing delete
-      Tuple t;
-      t.fields.push_back(std::move(record));
-      rows_.push_back(std::move(t));
+      AX_RETURN_NOT_OK(Emit(raw));
     }
     return Status::OK();
   }
@@ -172,14 +166,24 @@ class IndexSearchSource : public hyracks::TupleStream {
   }
   Status Close() override {
     rows_.clear();
+    decoder_.Flush();
     return Status::OK();
   }
 
  private:
+  Status Emit(const std::string& raw) {
+    AX_ASSIGN_OR_RETURN(adm::Value record, decoder_.Decode(raw));
+    Tuple t;
+    t.fields.push_back(std::move(record));
+    rows_.push_back(std::move(t));
+    return Status::OK();
+  }
+
   const DatasetPartition* part_;
   const LogicalOp* op_;
   bool sort_pks_;
   const algebricks::FunctionRegistry* fns_;
+  adm::RecordDecoder decoder_;
   std::vector<Tuple> rows_;
   size_t pos_ = 0;
 };
@@ -326,7 +330,9 @@ Result<Executor::Lowered> Executor::BuildScan(const LogicalOp& op) {
     return out;
   }
   for (DatasetPartition* part : it->second) {
-    out.streams.push_back(std::make_unique<PartitionScanSource>(part));
+    out.streams.push_back(
+        std::make_unique<PartitionScanSource>(
+            part, adm::RecordDecoder(op.scan_fields, op.scan_fields_pushed)));
   }
   return out;
 }

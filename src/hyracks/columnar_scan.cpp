@@ -93,7 +93,8 @@ struct ColumnarScanSource::Source {
 
 // One row that won the newest-version merge for its key. Columnar rows are
 // addressed by (source, row) — cells decode straight from columns; other
-// rows carry their serialized record, deserialized lazily at most once.
+// rows carry their serialized record, decoded lazily at most once (only the
+// needed fields when the projection was pushed).
 struct ColumnarScanSource::Candidate {
   Source* src = nullptr;
   uint64_t row = 0;       // columnar: row index in src
@@ -102,9 +103,9 @@ struct ColumnarScanSource::Candidate {
   bool decoded = false;
   adm::Value record = adm::Value::Missing();
 
-  Result<const adm::Value*> Record() {
+  Result<const adm::Value*> Record(adm::RecordDecoder* decoder) {
     if (!decoded) {
-      AX_ASSIGN_OR_RETURN(record, adm::Deserialize(raw));
+      AX_ASSIGN_OR_RETURN(record, decoder->Decode(raw));
       decoded = true;
     }
     return &record;
@@ -127,12 +128,14 @@ Status ColumnarScanSource::Open() {
   pos_ = 0;
   exhausted_ = false;
 
-  // Columns a columnar component must load: the projected fields plus every
-  // predicate field (predicates may reference non-projected fields).
+  // Fields a columnar component must load and a row record must build: the
+  // projected fields plus every predicate field (predicates may reference
+  // non-projected fields).
   std::vector<std::string> needed = fields_;
   for (const auto& p : predicates_) needed.push_back(p.field);
   std::sort(needed.begin(), needed.end());
   needed.erase(std::unique(needed.begin(), needed.end()), needed.end());
+  decoder_ = adm::RecordDecoder(needed, fields_pushed_);
 
   int rank = 0;
   if (!snap_.mem.empty()) {
@@ -266,7 +269,7 @@ Status ColumnarScanSource::Refill() {
         AX_ASSIGN_OR_RETURN(adm::Value v, col->ValueAt(c.row));
         c.keep = PassesCmp(v.Compare(pred.constant), pred.cmp);
       } else {
-        AX_ASSIGN_OR_RETURN(const adm::Value* rec, c.Record());
+        AX_ASSIGN_OR_RETURN(const adm::Value* rec, c.Record(&decoder_));
         const adm::Value& v = rec->GetField(pred.field);
         c.keep = !v.is_unknown() && PassesCmp(v.Compare(pred.constant),
                                               pred.cmp);
@@ -274,34 +277,27 @@ Status ColumnarScanSource::Refill() {
     }
   }
 
-  // Phase 3: materialize survivors into 1-field tuples.
+  // Phase 3: materialize survivors into 1-field tuples. A decoded row
+  // record already holds just the needed fields (a superset of the
+  // projection, which is all the plan can observe).
   for (auto& c : cands) {
     if (!c.keep) continue;
     adm::Value out = adm::Value::Missing();
-    if (fields_pushed_) {
+    if (c.src->col == nullptr) {
+      AX_ASSIGN_OR_RETURN(const adm::Value* rec, c.Record(&decoder_));
+      out = *rec;
+    } else if (fields_pushed_) {
       adm::FieldVec fv;
       fv.reserve(fields_.size());
-      if (c.src->col != nullptr) {
-        for (const auto& name : fields_) {
-          const storage::ColumnData* col = c.src->Find(name);
-          if (col == nullptr || col->IsMissing(c.row)) continue;
-          AX_ASSIGN_OR_RETURN(adm::Value v, col->ValueAt(c.row));
-          fv.emplace_back(name, std::move(v));
-        }
-      } else {
-        AX_ASSIGN_OR_RETURN(const adm::Value* rec, c.Record());
-        for (const auto& name : fields_) {
-          const adm::Value& v = rec->GetField(name);
-          if (v.is_missing()) continue;
-          fv.emplace_back(name, v);
-        }
+      for (const auto& name : fields_) {
+        const storage::ColumnData* col = c.src->Find(name);
+        if (col == nullptr || col->IsMissing(c.row)) continue;
+        AX_ASSIGN_OR_RETURN(adm::Value v, col->ValueAt(c.row));
+        fv.emplace_back(name, std::move(v));
       }
       out = adm::Value::Object(std::move(fv));
-    } else if (c.src->col != nullptr) {
-      AX_ASSIGN_OR_RETURN(out, c.src->col->MaterializeRow(c.src->cols, c.row));
     } else {
-      AX_ASSIGN_OR_RETURN(const adm::Value* rec, c.Record());
-      out = *rec;
+      AX_ASSIGN_OR_RETURN(out, c.src->col->MaterializeRow(c.src->cols, c.row));
     }
     Tuple t;
     t.fields.push_back(std::move(out));
@@ -340,6 +336,7 @@ Result<bool> ColumnarScanSource::NextBatch(Batch* out) {
 Status ColumnarScanSource::Close() {
   sources_.clear();
   rows_.clear();
+  decoder_.Flush();
   return Status::OK();
 }
 

@@ -1,7 +1,7 @@
 // ColumnarScan: a batch-native TupleStream over an LSM tree's scan snapshot
 // (paper §VII: columnar storage + the batch execution model of batch.h).
-// Where PartitionScanSource deserializes every full record out of the
-// merged row iterator, this source works a component stack directly:
+// Where PartitionScanSource decodes records out of the merged row iterator,
+// this source works a component stack directly:
 //
 //  * Projection pushdown — when the Algebricks lowering proves only a field
 //    subset is touched, only those columns are read and decoded from
@@ -12,17 +12,21 @@
 //    columns compare raw 8-byte payloads) and only surviving rows are
 //    materialized into tuples.
 //  * Mixed stacks — memory-component entries and row (.cmp) components
-//    participate in the same newest-wins merge, decoding full records only
-//    for rows that reach the predicate/materialize phases.
+//    participate in the same newest-wins merge, decoding records only for
+//    rows that reach the predicate/materialize phases, and then only the
+//    projected and predicate fields (adm::DeserializeProjected).
 //
 // Output shape matches the row scan source: 1-field tuples holding the
-// record (pruned to the projected fields when the projection was pushed).
+// record (when the projection was pushed, pruned to the projected fields;
+// row candidates may also keep pushed-predicate fields, which the plan
+// never reads).
 #pragma once
 
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "adm/serde.h"
 #include "common/result.h"
 #include "hyracks/stream.h"
 #include "storage/lsm_btree.h"
@@ -68,6 +72,7 @@ class ColumnarScanSource : public TupleStream {
   bool fields_pushed_ = false;
   std::vector<ScanPredicate> predicates_;
 
+  adm::RecordDecoder decoder_;  // row candidates; set up at Open
   storage::LsmBTree::ScanSnapshot snap_;
   std::vector<std::unique_ptr<Source>> sources_;
   bool exhausted_ = false;

@@ -1,13 +1,17 @@
 // Tests for ADM serialization, the text parser, the order-preserving key
 // encoding, temporal parsing, and the type system. Heavy on property-style
-// round-trip sweeps.
+// round-trip sweeps, including the projected decoder's equivalence with
+// full decode on generated and corrupted inputs.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "adm/json.h"
 #include "adm/key_encoder.h"
 #include "adm/serde.h"
 #include "adm/temporal.h"
 #include "adm/type.h"
+#include "asterix/gleambook.h"
 #include "common/rng.h"
 
 namespace asterix::adm {
@@ -80,6 +84,192 @@ TEST(Serde, VarintRoundTrip) {
     size_t pos = 0;
     EXPECT_EQ(GetVarint(buf, &pos).value(), v);
     EXPECT_EQ(pos, buf.size());
+  }
+}
+
+// ---- projected decode --------------------------------------------------------
+
+// `v` with every top-level field not named in `keep` (sorted) removed;
+// non-objects are returned as they are.
+Value Pruned(const Value& v, const std::vector<std::string>& keep) {
+  if (!v.is_object()) return v;
+  FieldVec out;
+  for (const auto& [name, fv] : v.fields()) {
+    if (std::binary_search(keep.begin(), keep.end(), name)) {
+      out.emplace_back(name, fv);
+    }
+  }
+  return Value::Object(std::move(out));
+}
+
+// A record over a small field-name pool, so projections hit both present and
+// absent names. Field values span every tag, MISSING and empty objects
+// included, nested to `depth`.
+Value RandomRecord(Rng* rng, int depth) {
+  static const char* kNames[] = {"a", "b", "c", "d", "e", "f", "g", "h"};
+  FieldVec fields;
+  for (const char* name : kNames) {
+    if (rng->Uniform(3) == 0) continue;
+    Value v;
+    switch (rng->Uniform(8)) {
+      case 0: v = Value::Missing(); break;
+      case 1: v = Value::Time(static_cast<int64_t>(rng->Uniform(86400000))); break;
+      case 2: v = Value::Duration(static_cast<int64_t>(rng->Next() % 100000) - 50000); break;
+      case 3: v = Value::Object({}); break;
+      case 4: v = depth > 0 ? RandomRecord(rng, depth - 1) : Value::Null(); break;
+      default: v = RandomValue(rng, depth); break;
+    }
+    fields.emplace_back(name, std::move(v));
+  }
+  return Value::Object(std::move(fields));
+}
+
+TEST(SerdeProjected, EqualsFullDecodePruned) {
+  const std::vector<std::vector<std::string>> projections = {
+      {},                     // COUNT(*): nothing built
+      {"a"},
+      {"b", "h"},
+      {"a", "c", "e", "zz"},  // "zz" is never present
+      {"missing_only"},
+      {"a", "b", "c", "d", "e", "f", "g", "h"},
+  };
+  Rng rng(2024);
+  for (int i = 0; i < 400; i++) {
+    Value rec = RandomRecord(&rng, 2);
+    std::string raw = Serialize(rec);
+    Value full = Deserialize(raw).value();
+    for (const auto& keep : projections) {
+      uint64_t skipped = 0;
+      auto proj = DeserializeProjected(raw, keep, &skipped);
+      ASSERT_TRUE(proj.ok()) << rec.ToString();
+      Value want = Pruned(full, keep);
+      EXPECT_EQ(proj.value(), want) << rec.ToString();
+      EXPECT_EQ(proj->fields().size(), want.fields().size());
+      EXPECT_EQ(skipped, full.fields().size() - want.fields().size());
+    }
+  }
+  // The empty object, and non-object values, which decode whole.
+  for (const Value& v :
+       {Value::Object({}), Value::Null(), Value::Missing(), Value::Int(-7),
+        Value::MakePoint(1, 2), Value::Array({Value::Int(1)}),
+        Value::Multiset({Value::String("x")})}) {
+    uint64_t skipped = 0;
+    auto proj = DeserializeProjected(Serialize(v), {"a"}, &skipped);
+    ASSERT_TRUE(proj.ok()) << v.ToString();
+    EXPECT_EQ(proj.value(), v);
+    EXPECT_EQ(skipped, 0u);
+  }
+}
+
+TEST(SerdeProjected, RecordDecoderSortsAndTallies) {
+  Value rec = ObjectBuilder()
+                  .Add("id", Value::Int(1))
+                  .Add("name", Value::String("n"))
+                  .Add("tags", Value::Array({Value::String("t")}))
+                  .Build();
+  std::string raw = Serialize(rec);
+  // Unsorted with a duplicate: the decoder normalizes the field set.
+  RecordDecoder projected({"tags", "id", "tags"}, /*projected=*/true);
+  Value got = projected.Decode(raw).value();
+  EXPECT_EQ(got, Pruned(rec, {"id", "tags"}));
+  RecordDecoder whole;
+  EXPECT_EQ(whole.Decode(raw).value(), rec);
+  RecordDecoder not_pushed({"id"}, /*projected=*/false);
+  EXPECT_EQ(not_pushed.Decode(raw).value(), rec);
+}
+
+// Every truncation and every single-byte change of a serialized Gleambook
+// message: the projected decode must fail exactly when the full decode does,
+// with the same Corruption, and otherwise agree with it.
+TEST(SerdeProjected, CorruptionMatchesFullDecode) {
+  gleambook::GeneratorOptions opts;
+  gleambook::Generator gen(opts);
+  const std::string raw = Serialize(gen.MakeMessage(17));
+  const Value full = Deserialize(raw).value();
+  ASSERT_TRUE(full.is_object());
+  std::vector<std::vector<std::string>> projections = {{}, {"message"}};
+  std::vector<std::string> all;
+  for (const auto& [name, v] : full.fields()) all.push_back(name);
+  projections.push_back({all.front(), all.back()});
+  projections.push_back(all);
+
+  size_t failures = 0;
+  auto check = [&](const std::string& bytes, const std::string& what) {
+    auto want = Deserialize(bytes);
+    if (!want.ok()) {
+      failures++;
+      ASSERT_EQ(want.status().code(), StatusCode::kCorruption) << what;
+    }
+    for (const auto& keep : projections) {
+      auto got = DeserializeProjected(bytes, keep);
+      ASSERT_EQ(got.ok(), want.ok()) << what;
+      if (want.ok()) {
+        EXPECT_EQ(got.value(), Pruned(want.value(), keep)) << what;
+      } else {
+        EXPECT_EQ(got.status().ToString(), want.status().ToString()) << what;
+      }
+    }
+  };
+  for (size_t cut = 0; cut < raw.size(); cut++) {
+    check(raw.substr(0, cut), "truncated to " + std::to_string(cut));
+  }
+  check(raw + "x", "trailing byte");
+  for (size_t i = 0; i < raw.size(); i++) {
+    for (int mask = 1; mask < 256; mask++) {
+      std::string bytes = raw;
+      bytes[i] = static_cast<char>(bytes[i] ^ mask);
+      check(bytes, "byte " + std::to_string(i) + " ^ " + std::to_string(mask));
+    }
+  }
+  EXPECT_GT(failures, raw.size());  // the sweep did reach the error paths
+}
+
+// The canonical-input fast path in Value::Object must not change results:
+// reference is the stable sort + last-duplicate-wins rule.
+TEST(ValueObject, SortedUnsortedAndDuplicateInput) {
+  auto reference = [](FieldVec in) {
+    std::stable_sort(in.begin(), in.end(), [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    });
+    FieldVec out;
+    for (auto& f : in) {
+      if (!out.empty() && out.back().first == f.first) {
+        out.back().second = f.second;
+      } else {
+        out.push_back(f);
+      }
+    }
+    return out;
+  };
+  auto same = [](const FieldVec& a, const FieldVec& b) {
+    if (a.size() != b.size()) return false;
+    for (size_t i = 0; i < a.size(); i++) {
+      if (a[i].first != b[i].first || a[i].second != b[i].second) return false;
+      if (a[i].second.tag() != b[i].second.tag()) return false;
+    }
+    return true;
+  };
+  const std::vector<FieldVec> inputs = {
+      {},
+      {{"a", Value::Int(1)}, {"b", Value::Int(2)}, {"c", Value::Int(3)}},
+      {{"c", Value::Int(3)}, {"a", Value::Int(1)}, {"b", Value::Int(2)}},
+      {{"a", Value::Int(1)}, {"a", Value::Int(2)}},
+      {{"b", Value::Int(1)}, {"a", Value::Int(2)}, {"b", Value::Double(3)}},
+      {{"a", Value::Int(1)}, {"b", Value::Int(2)}, {"b", Value::Null()}},
+  };
+  for (const auto& in : inputs) {
+    Value v = Value::Object(in);
+    EXPECT_TRUE(same(v.fields(), reference(in))) << v.ToString();
+  }
+  Rng rng(5);
+  for (int i = 0; i < 300; i++) {
+    FieldVec in;
+    for (uint64_t k = rng.Uniform(6); k > 0; k--) {
+      in.emplace_back(std::string(1, static_cast<char>('a' + rng.Uniform(4))),
+                      Value::Int(static_cast<int64_t>(rng.Uniform(100))));
+    }
+    Value v = Value::Object(in);
+    EXPECT_TRUE(same(v.fields(), reference(in))) << v.ToString();
   }
 }
 

@@ -258,6 +258,26 @@ TEST_F(ProfileTest, TwoPartitionJoinProfilesExpectedOperators) {
   EXPECT_NE(result.profiled_plan.find("tuples="), std::string::npos);
 }
 
+// A row COUNT(*) builds no field at all: every field of every record is
+// walked over and counted. With scan pushdown off, records decode whole and
+// nothing is skipped.
+TEST_F(ProfileTest, RowCountStarSkipsFieldsOnlyWithPushdown) {
+  auto* skipped = Registry::Global().GetCounter("adm.decode.fields_skipped");
+  const char* query = "SELECT COUNT(*) AS n FROM Msgs m";
+  algebricks::OptimizerOptions off;
+  off.scan_pushdown = false;
+  uint64_t before = skipped->value();
+  auto r_off = instance_->QueryWithOptions(query, off);
+  ASSERT_TRUE(r_off.ok()) << r_off.status().ToString();
+  EXPECT_EQ(r_off->rows[0].GetField("n").AsInt(), 200);
+  EXPECT_EQ(skipped->value(), before);
+
+  auto r_on = instance_->Execute(query);
+  ASSERT_TRUE(r_on.ok()) << r_on.status().ToString();
+  EXPECT_EQ(r_on->rows[0].GetField("n").AsInt(), 200);
+  EXPECT_EQ(skipped->value() - before, 200u * 3);  // mid, uid, body
+}
+
 TEST_F(ProfileTest, ProfilingOffByDefault) {
   InstanceOptions options;
   options.base_dir = dir_ + "_off";
