@@ -39,23 +39,15 @@ Result<std::unique_ptr<DatasetPartition>> DatasetPartition::Open(
       }
       case meta::IndexKind::kRTree: {
         storage::LsmRTreeOptions o;
-        o.dir = options.dir;
+        static_cast<storage::LsmLifecycleOptions&>(o) = lsm;
         o.name = "ix_" + ix.name;
-        o.cache = options.cache;
-        o.mem_budget_bytes = options.mem_budget_bytes;
-        o.scheduler = options.scheduler;
-        o.max_pending_immutables = options.max_pending_immutables;
         AX_ASSIGN_OR_RETURN(auto tree, storage::LsmRTree::Open(o));
         part->rtree_indexes_[ix.name] = std::move(tree);
         break;
       }
       case meta::IndexKind::kKeyword: {
-        storage::InvertedIndexOptions o;
-        o.dir = options.dir;
+        storage::LsmLifecycleOptions o = lsm;
         o.name = "ix_" + ix.name;
-        o.cache = options.cache;
-        o.mem_budget_bytes = options.mem_budget_bytes;
-        o.scheduler = options.scheduler;
         AX_ASSIGN_OR_RETURN(auto idx, storage::LsmInvertedIndex::Open(o));
         part->keyword_indexes_[ix.name] = std::move(idx);
         break;

@@ -33,7 +33,8 @@ struct PartitionOptions {
   /// partition (primary + secondaries). Null = inline maintenance. Owned
   /// by the Instance; must outlive the partition.
   storage::MaintenanceScheduler* scheduler = nullptr;
-  /// Per-tree backpressure bound (see LsmOptions::max_pending_immutables).
+  /// Per-tree backpressure bound (see
+  /// LsmLifecycleOptions::max_pending_immutables).
   size_t max_pending_immutables = 2;
 };
 

@@ -1,52 +1,28 @@
 #include "storage/lsm_btree.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <functional>
+#include <optional>
 
 #include "adm/serde.h"
 #include "common/compress.h"
 #include "common/io.h"
 #include "common/metrics.h"
-#include "storage/maintenance.h"
 
 namespace asterix::storage {
 
 namespace {
-metrics::Counter* LsmFlushesCounter() {
-  static metrics::Counter* c =
-      metrics::Registry::Global().GetCounter("storage.lsm.flushes");
-  return c;
-}
-metrics::Counter* LsmFlushBytesCounter() {
-  static metrics::Counter* c =
-      metrics::Registry::Global().GetCounter("storage.lsm.flush_bytes");
-  return c;
-}
-metrics::Counter* LsmMergesCounter() {
-  static metrics::Counter* c =
-      metrics::Registry::Global().GetCounter("storage.lsm.merges");
-  return c;
-}
-metrics::Counter* LsmMergeBytesCounter() {
-  static metrics::Counter* c =
-      metrics::Registry::Global().GetCounter("storage.lsm.merge_bytes");
-  return c;
-}
-metrics::Counter* LsmWriteStallsCounter() {
-  static metrics::Counter* c =
-      metrics::Registry::Global().GetCounter("storage.lsm.write_stalls");
-  return c;
-}
-metrics::Counter* LsmWriteStallNsCounter() {
-  static metrics::Counter* c =
-      metrics::Registry::Global().GetCounter("storage.lsm.write_stall_ns");
-  return c;
-}
-metrics::Counter* LsmIncompleteDroppedCounter() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "storage.lsm.incomplete_components_dropped");
-  return c;
+LsmMetrics BTreeMetrics() {
+  auto& registry = metrics::Registry::Global();
+  LsmMetrics m;
+  m.flushes = registry.GetCounter("storage.lsm.flushes");
+  m.flush_bytes = registry.GetCounter("storage.lsm.flush_bytes");
+  m.merges = registry.GetCounter("storage.lsm.merges");
+  m.merge_bytes = registry.GetCounter("storage.lsm.merge_bytes");
+  m.write_stalls = registry.GetCounter("storage.lsm.write_stalls");
+  m.write_stall_ns = registry.GetCounter("storage.lsm.write_stall_ns");
+  m.incomplete_dropped =
+      registry.GetCounter("storage.lsm.incomplete_components_dropped");
+  return m;
 }
 metrics::Counter* ColumnarComponentsCounter() {
   static metrics::Counter* c = metrics::Registry::Global().GetCounter(
@@ -75,14 +51,6 @@ std::string EncodeDiskValue(const std::string& value, bool antimatter,
   std::string out(1, kLive);
   out += value;
   return out;
-}
-
-std::string ComponentName(const std::string& prefix, uint64_t lo, uint64_t hi) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "_%010llu_%010llu",
-                static_cast<unsigned long long>(lo),
-                static_cast<unsigned long long>(hi));
-  return prefix + buf;
 }
 
 // True (and fills `records`, antimatter slots left Missing) iff every live
@@ -114,182 +82,67 @@ Result<std::string> DecodeDiskEntry(const std::string& raw) {
   return raw.substr(1);
 }
 
-LsmBTree::DiskComponent::~DiskComponent() {
-  tree.reset();  // unregister from cache before unlinking
-  col.reset();
-  // Best-effort unlink: leftovers are re-collected at the next open.
-  if (obsolete) {
-    // axlint: allow(must-check): best-effort obsolete-component unlink
-    (void)fs::RemoveFile(data_path);
-    // axlint: allow(must-check): best-effort obsolete-component unlink
-    (void)fs::RemoveFile(bloom_path);
-  }
-}
+LsmBTree::LsmBTree(const LsmOptions& options)
+    : life_(options, Format{options}, BTreeMetrics()) {}
 
 Result<std::unique_ptr<LsmBTree>> LsmBTree::Open(const LsmOptions& options) {
-  if (options.cache == nullptr) {
-    return Status::InvalidArgument("LsmOptions.cache is required");
-  }
-  AX_RETURN_NOT_OK(fs::CreateDirs(options.dir));
   auto tree = std::unique_ptr<LsmBTree>(new LsmBTree(options));
-  // Recover existing components: <prefix>_<lo>_<hi>.cmp (row B+tree) or
-  // <prefix>_<lo>_<hi>.col (columnar). Mixed stacks are expected — a
-  // dataset may be reopened under a different storage-format option.
-  AX_ASSIGN_OR_RETURN(auto names, fs::ListDir(options.dir));
-  std::vector<std::pair<std::pair<uint64_t, uint64_t>, std::string>> found;
-  for (const auto& n : names) {
-    if (n.size() < options.name.size() + 4) continue;
-    if (n.compare(0, options.name.size(), options.name) != 0) continue;
-    bool row = n.compare(n.size() - 4, 4, ".cmp") == 0;
-    bool columnar = n.compare(n.size() - 4, 4, ".col") == 0;
-    if (!row && !columnar) continue;
-    unsigned long long lo, hi;
-    std::string tail = n.substr(options.name.size());
-    if (std::sscanf(tail.c_str(), row ? "_%llu_%llu.cmp" : "_%llu_%llu.col",
-                    &lo, &hi) != 2) {
-      continue;
-    }
-    found.push_back({{hi, lo}, n});
-  }
-  // Newest first (descending seq_hi).
-  std::sort(found.begin(), found.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  std::lock_guard<std::mutex> lock(tree->mu_);  // satisfies GUARDED_BY
-  for (const auto& [seq, fname] : found) {
-    auto comp = std::make_shared<DiskComponent>();
-    comp->seq_hi = seq.first;
-    comp->seq_lo = seq.second;
-    comp->data_path = options.dir + "/" + fname;
-    comp->bloom_path = comp->data_path.substr(0, comp->data_path.size() - 4) +
-                       ".bloom";
-    // The Bloom file is written last and is the flush commit point: a data
-    // file without one is a flush that was in flight at a crash. Drop it —
-    // WAL replay (the caller's recovery) re-ingests those rows.
-    if (!fs::Exists(comp->bloom_path)) {
-      LsmIncompleteDroppedCounter()->Add(1);
-      // axlint: allow(must-check): best-effort incomplete-component unlink
-      (void)fs::RemoveFile(comp->data_path);
-      continue;
-    }
-    if (fname.compare(fname.size() - 4, 4, ".col") == 0) {
-      AX_ASSIGN_OR_RETURN(comp->col, ColumnarReader::Open(comp->data_path));
-      comp->bytes = comp->col->file_bytes();
-    } else {
-      AX_ASSIGN_OR_RETURN(comp->tree,
-                          BTree::Open(comp->data_path, options.cache));
-      comp->bytes =
-          static_cast<uint64_t>(comp->tree->meta().page_count) * kPageSize;
-    }
-    AX_ASSIGN_OR_RETURN(auto bloom_data, fs::ReadFileToString(comp->bloom_path));
-    AX_ASSIGN_OR_RETURN(comp->bloom, BloomFilter::Deserialize(bloom_data));
-    tree->components_.push_back(std::move(comp));
-    tree->next_seq_ = std::max(tree->next_seq_, seq.first + 1);
-  }
+  AX_RETURN_NOT_OK(tree->life_.Open());
   return tree;
 }
 
-LsmBTree::~LsmBTree() {
-  std::unique_lock<std::mutex> lock(mu_);
-  closing_ = true;
-  maint_cv_.notify_all();
-  // Wait for background tasks (including ones still queued on the
-  // scheduler — they run, observe closing_, and bail). Unflushed memory
-  // components are dropped; WAL replay recovers them (truncation only
-  // follows a drained checkpoint flush).
-  while (tasks_inflight_ > 0 || flush_active_ || merge_active_) {
-    maint_cv_.wait(lock);
+Status LsmBTree::Format::OpenComponent(DiskComponent* comp) const {
+  const std::string& path = comp->data_path;
+  if (path.compare(path.size() - 4, 4, ".col") == 0) {
+    AX_ASSIGN_OR_RETURN(comp->col, ColumnarReader::Open(path));
+    comp->bytes = comp->col->file_bytes();
+  } else {
+    AX_ASSIGN_OR_RETURN(comp->tree, BTree::Open(path, options.cache));
+    comp->bytes =
+        static_cast<uint64_t>(comp->tree->meta().page_count) * kPageSize;
   }
+  AX_ASSIGN_OR_RETURN(auto bloom_data,
+                      fs::ReadFileToString(comp->commit_path));
+  AX_ASSIGN_OR_RETURN(comp->bloom, BloomFilter::Deserialize(bloom_data));
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
 // Write path
 // ---------------------------------------------------------------------------
 
-void LsmBTree::RotateMemLocked() {
-  if (mem_.empty()) return;
-  auto imm = std::make_shared<MemComponent>();
-  imm->seq = next_seq_++;
-  imm->bytes = mem_bytes_;
-  imm->entries = mem_.size();
-  imm->rows = std::move(mem_);
-  mem_.clear();
-  mem_bytes_ = 0;
-  immutables_.insert(immutables_.begin(), std::move(imm));
-}
-
-Status LsmBTree::WaitForRoomLocked(std::unique_lock<std::mutex>& lock) {
-  const size_t bound = std::max<size_t>(1, options_.max_pending_immutables);
-  if (immutables_.size() < bound) return maint_error_;
-  write_stalls_++;
-  LsmWriteStallsCounter()->Add(1);
-  const uint64_t t0 = metrics::NowNs();
-  while (immutables_.size() >= bound && maint_error_.ok() && !closing_) {
-    maint_cv_.wait(lock);
-  }
-  LsmWriteStallNsCounter()->Add(metrics::NowNs() - t0);
-  return maint_error_;
-}
-
-Status LsmBTree::HandleBudgetLocked(std::unique_lock<std::mutex>& lock) {
-  if (!options_.auto_flush || mem_bytes_ <= options_.mem_budget_bytes) {
-    return Status::OK();
-  }
-  if (options_.scheduler != nullptr) {
-    AX_RETURN_NOT_OK(WaitForRoomLocked(lock));
-    // Another writer may have rotated while we waited.
-    if (mem_bytes_ <= options_.mem_budget_bytes) return Status::OK();
-    RotateMemLocked();
-    ScheduleFlushLocked();
-    return Status::OK();
-  }
-  // Inline maintenance (no scheduler): the writing thread pays for the
-  // flush and any policy merge, as before the scheduler existed.
-  RotateMemLocked();
-  AX_RETURN_NOT_OK(DrainImmutablesLocked(lock));
-  AX_ASSIGN_OR_RETURN(bool merged, ApplyMergePolicyLocked(lock));
-  (void)merged;
-  return Status::OK();
-}
-
 Status LsmBTree::Put(const std::string& key, const std::string& value) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!maint_error_.ok()) return maint_error_;
-  mem_.insert_or_assign(key, MemEntry{false, value});
-  mem_bytes_ += key.size() + value.size() + 32;
-  return HandleBudgetLocked(lock);
+  return life_.Write([&](Format::Mem& mem, bool /*has_older*/) {
+    mem.insert_or_assign(key, MemEntry{false, value});
+    return key.size() + value.size() + 32;
+  });
 }
 
 Status LsmBTree::Delete(const std::string& key) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!maint_error_.ok()) return maint_error_;
-  mem_.insert_or_assign(key, MemEntry{true, ""});
-  mem_bytes_ += key.size() + 32;
-  return HandleBudgetLocked(lock);
+  return life_.Write([&](Format::Mem& mem, bool /*has_older*/) {
+    mem.insert_or_assign(key, MemEntry{true, ""});
+    return key.size() + 32;
+  });
 }
 
 Result<bool> LsmBTree::Get(const std::string& key, std::string* value) const {
-  std::vector<MemPtr> imms;
-  std::vector<ComponentPtr> comps;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = mem_.find(key);
-    if (it != mem_.end()) {
-      if (it->second.antimatter) return false;
-      if (value) *value = it->second.value;
-      return true;
-    }
-    imms = immutables_;
-    comps = components_;
-  }
+  std::optional<bool> in_mem;
+  Lifecycle::Stack stack = life_.Pin([&](const Format::Mem& mem) {
+    auto it = mem.find(key);
+    if (it == mem.end()) return;
+    in_mem = !it->second.antimatter;
+    if (*in_mem && value) *value = it->second.value;
+  });
+  if (in_mem) return *in_mem;
   // Immutable memory components are frozen; probing them off-lock is safe.
-  for (const auto& imm : imms) {
-    auto it = imm->rows.find(key);
-    if (it == imm->rows.end()) continue;
+  for (const auto& imm : stack.immutables) {
+    auto it = imm->mem.find(key);
+    if (it == imm->mem.end()) continue;
     if (it->second.antimatter) return false;
     if (value) *value = it->second.value;
     return true;
   }
-  for (const auto& comp : comps) {
+  for (const auto& comp : stack.disk) {
     if (!comp->bloom.MayContain(key)) continue;
     if (comp->columnar()) {
       uint64_t row = comp->col->LowerBound(key);
@@ -314,28 +167,15 @@ Result<bool> LsmBTree::Get(const std::string& key, std::string* value) const {
   return false;
 }
 
-Status LsmBTree::Flush() {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!maint_error_.ok()) return maint_error_;
-  RotateMemLocked();
-  return DrainImmutablesLocked(lock);
-}
-
-Result<LsmBTree::ComponentPtr> LsmBTree::BuildDiskComponent(
-    const std::vector<SnapshotEntry>& rows, uint64_t seq_lo,
-    uint64_t seq_hi) const {
-  auto comp = std::make_shared<DiskComponent>();
-  std::string base =
-      options_.dir + "/" + ComponentName(options_.name, seq_lo, seq_hi);
-  comp->seq_lo = seq_lo;
-  comp->seq_hi = seq_hi;
-  comp->bloom_path = base + ".bloom";
+Status LsmBTree::Format::Write(const std::vector<SnapshotEntry>& rows,
+                               const std::string& base,
+                               DiskComponent* comp) const {
   comp->bloom = BloomFilter(std::max<uint64_t>(rows.size(), 16),
-                            options_.bloom_bits_per_key);
+                            options.bloom_bits_per_key);
   for (const auto& row : rows) comp->bloom.Add(row.key);
 
   std::vector<adm::Value> records;
-  if (options_.storage_format == StorageFormat::kColumnar &&
+  if (options.storage_format == StorageFormat::kColumnar &&
       DecodeColumnarRecords(rows, &records)) {
     comp->data_path = base + ".col";
     ColumnarComponentWriter writer(comp->data_path);
@@ -352,117 +192,39 @@ Result<LsmBTree::ComponentPtr> LsmBTree::BuildDiskComponent(
     for (const auto& row : rows) {
       AX_RETURN_NOT_OK(builder->Add(
           row.key, EncodeDiskValue(row.value, row.antimatter,
-                                   options_.compress_values)));
+                                   options.compress_values)));
     }
     AX_ASSIGN_OR_RETURN(auto meta, builder->Finish());
     AX_ASSIGN_OR_RETURN(comp->tree,
-                        BTree::Open(comp->data_path, options_.cache));
+                        BTree::Open(comp->data_path, options.cache));
     comp->bytes = static_cast<uint64_t>(meta.page_count) * kPageSize;
   }
   // The Bloom file is written last: it is the flush commit point that
   // Open() uses to distinguish complete components from torn flushes.
-  AX_RETURN_NOT_OK(
-      fs::WriteStringToFile(comp->bloom_path, comp->bloom.Serialize()));
-  return comp;
+  return fs::WriteStringToFile(comp->commit_path, comp->bloom.Serialize());
 }
 
-Status LsmBTree::FlushOldestLocked(std::unique_lock<std::mutex>& lock) {
-  while (flush_active_ && !closing_) maint_cv_.wait(lock);
-  if (closing_) return Status::OK();
-  if (!maint_error_.ok()) return maint_error_;
-  if (immutables_.empty()) return Status::OK();
-  flush_active_ = true;
-  MemPtr victim = immutables_.back();  // oldest
-  // Antimatter can be dropped only when nothing older could hide a live
-  // row. Newer immutables are irrelevant; only disk components are older,
-  // and the flush slot we hold is the only thing that installs new ones.
-  const bool only_component = components_.empty();
+Status LsmBTree::Format::BuildFlush(const Mem& mem, bool has_older,
+                                    const std::string& base,
+                                    DiskComponent* out) const {
   std::vector<SnapshotEntry> rows;
-  rows.reserve(victim->rows.size());
-  for (const auto& [key, entry] : victim->rows) {
-    if (entry.antimatter && only_component) continue;  // nothing below to hide
+  rows.reserve(mem.size());
+  for (const auto& [key, entry] : mem) {
+    if (entry.antimatter && !has_older) continue;  // nothing below to hide
     rows.push_back(SnapshotEntry{key, entry.antimatter, entry.value});
   }
-  const uint64_t seq = victim->seq;
-  lock.unlock();
-  auto built = BuildDiskComponent(rows, seq, seq);
-  lock.lock();
-  flush_active_ = false;
-  if (!built.ok()) {
-    maint_cv_.notify_all();
-    return built.status();
-  }
-  uint64_t bytes = built.value()->bytes;
-  components_.insert(components_.begin(), std::move(built).value());
-  immutables_.pop_back();
-  flushes_++;
-  LsmFlushesCounter()->Add(1);
-  LsmFlushBytesCounter()->Add(bytes);
-  maint_cv_.notify_all();  // backpressure waiters, drain barriers
-  return Status::OK();
+  return Write(rows, base, out);
 }
 
-Status LsmBTree::DrainImmutablesLocked(std::unique_lock<std::mutex>& lock) {
-  // Cooperative: this thread does the flush work itself instead of waiting
-  // on a queued scheduler task, so a bounded pool can never deadlock on a
-  // barrier (e.g. Instance::Checkpoint fanning out partition flushes).
-  while (true) {
-    while (flush_active_) maint_cv_.wait(lock);
-    if (!maint_error_.ok()) return maint_error_;
-    if (immutables_.empty()) return Status::OK();
-    AX_RETURN_NOT_OK(FlushOldestLocked(lock));
-  }
-}
-
-void LsmBTree::ScheduleFlushLocked() {
-  if (options_.scheduler == nullptr || flush_queued_ || closing_) return;
-  flush_queued_ = true;
-  tasks_inflight_++;
-  options_.scheduler->Submit([this] { BackgroundFlush(); });
-}
-
-void LsmBTree::ScheduleMergeLocked() {
-  if (options_.scheduler == nullptr || merge_queued_ || merge_active_ ||
-      closing_) {
-    return;
-  }
-  if (PickMergeRunLocked() < 2) return;
-  merge_queued_ = true;
-  tasks_inflight_++;
-  options_.scheduler->Submit([this] { BackgroundMerge(); });
-}
-
-void LsmBTree::BackgroundFlush() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!closing_ && maint_error_.ok()) {
-    if (flush_active_) {  // a barrier (Flush/Checkpoint) is doing our work
-      maint_cv_.wait(lock);
-      continue;
-    }
-    if (immutables_.empty()) break;
-    Status s = FlushOldestLocked(lock);
-    if (!s.ok()) {
-      if (maint_error_.ok()) maint_error_ = std::move(s);
-      break;
-    }
-  }
-  // Cleared under the same lock hold as the emptiness check: a rotation
-  // after this point submits a fresh task.
-  flush_queued_ = false;
-  if (!closing_ && maint_error_.ok()) ScheduleMergeLocked();
-  tasks_inflight_--;
-  maint_cv_.notify_all();
-}
-
-void LsmBTree::BackgroundMerge() {
-  std::unique_lock<std::mutex> lock(mu_);
-  merge_queued_ = false;
-  if (!closing_ && maint_error_.ok() && !merge_active_) {
-    auto merged = ApplyMergePolicyLocked(lock);
-    if (!merged.ok() && maint_error_.ok()) maint_error_ = merged.status();
-  }
-  tasks_inflight_--;
-  maint_cv_.notify_all();
+Status LsmBTree::Format::BuildMerge(const std::vector<ComponentPtr>& victims,
+                                    bool includes_oldest,
+                                    const std::string& base,
+                                    DiskComponent* out) const {
+  // Buffer the merged rows, then write them out in the configured format
+  // (this is what converges a mixed row/columnar stack: the merge output is
+  // a single component in the tree's current format).
+  AX_ASSIGN_OR_RETURN(auto rows, BuildMergedRows(victims, includes_oldest));
+  return Write(rows, base, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -618,27 +380,22 @@ Status LsmBTree::Iterator::Advance(bool first) {
 
 Result<LsmBTree::Iterator> LsmBTree::NewIterator() const {
   std::vector<std::unique_ptr<Iterator::Source>> sources;
-  std::vector<MemPtr> imms;
-  std::vector<ComponentPtr> comps;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto mem_src = std::make_unique<Iterator::Source>();
-    mem_src->is_mem = true;
-    mem_src->rank = 0;
-    mem_src->snapshot.assign(mem_.begin(), mem_.end());
-    sources.push_back(std::move(mem_src));
-    imms = immutables_;
-    comps = components_;
-  }
+  auto mem_src = std::make_unique<Iterator::Source>();
+  mem_src->is_mem = true;
+  mem_src->rank = 0;
+  Lifecycle::Stack stack = life_.Pin([&](const Format::Mem& mem) {
+    mem_src->snapshot.assign(mem.begin(), mem.end());
+  });
+  sources.push_back(std::move(mem_src));
   int rank = 1;
-  for (const auto& imm : imms) {  // newest first, like components_
+  for (const auto& imm : stack.immutables) {  // newest first, like disk
     auto src = std::make_unique<Iterator::Source>();
     src->is_mem = true;
     src->rank = rank++;
-    src->snapshot.assign(imm->rows.begin(), imm->rows.end());
+    src->snapshot.assign(imm->mem.begin(), imm->mem.end());
     sources.push_back(std::move(src));
   }
-  for (const auto& comp : comps) {
+  for (const auto& comp : stack.disk) {
     AX_ASSIGN_OR_RETURN(auto src, Iterator::Source::ForComponent(comp, rank++));
     sources.push_back(std::move(src));
   }
@@ -647,25 +404,19 @@ Result<LsmBTree::Iterator> LsmBTree::NewIterator() const {
 
 LsmBTree::ScanSnapshot LsmBTree::GetScanSnapshot() const {
   ScanSnapshot snap;
-  std::vector<MemPtr> imms;
-  std::vector<ComponentPtr> comps;
-  std::map<std::string, MemEntry> merged;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    merged = mem_;
-    imms = immutables_;
-    comps = components_;
-  }
+  Format::Mem merged;
+  Lifecycle::Stack stack =
+      life_.Pin([&](const Format::Mem& mem) { merged = mem; });
   // Fold immutable memory components under the mutable one, newest wins
   // (map::insert keeps the existing — newer — entry on key collision).
-  for (const auto& imm : imms) {
-    merged.insert(imm->rows.begin(), imm->rows.end());
+  for (const auto& imm : stack.immutables) {
+    merged.insert(imm->mem.begin(), imm->mem.end());
   }
   snap.mem.reserve(merged.size());
   for (const auto& [key, entry] : merged) {
     snap.mem.push_back(SnapshotEntry{key, entry.antimatter, entry.value});
   }
-  for (const auto& comp : comps) {
+  for (const auto& comp : stack.disk) {
     ComponentRef ref;
     ref.keepalive = comp;
     if (comp->columnar()) {
@@ -683,7 +434,7 @@ LsmBTree::ScanSnapshot LsmBTree::GetScanSnapshot() const {
 // ---------------------------------------------------------------------------
 
 Result<std::vector<LsmBTree::SnapshotEntry>> LsmBTree::BuildMergedRows(
-    const std::vector<ComponentPtr>& victims, bool includes_oldest) const {
+    const std::vector<ComponentPtr>& victims, bool includes_oldest) {
   // Build a merged stream over the victim components only. Victims are
   // pinned by shared_ptr and immutable, so no lock is needed.
   std::vector<std::unique_ptr<Iterator::Source>> sources;
@@ -694,9 +445,6 @@ Result<std::vector<LsmBTree::SnapshotEntry>> LsmBTree::BuildMergedRows(
   }
   for (auto& s : sources) AX_RETURN_NOT_OK(s->SeekToFirst());
 
-  // Buffer the merged rows, then write them out in the configured format
-  // (this is what converges a mixed row/columnar stack: the merge output is
-  // a single component in the tree's current format).
   std::vector<SnapshotEntry> rows;
   while (true) {
     Iterator::Source* winner = nullptr;
@@ -726,119 +474,11 @@ Result<std::vector<LsmBTree::SnapshotEntry>> LsmBTree::BuildMergedRows(
   return rows;
 }
 
-size_t LsmBTree::PickMergeRunLocked() const {
-  const MergePolicy& mp = options_.merge_policy;
-  switch (mp.kind) {
-    case MergePolicyKind::kNoMerge:
-      return 0;
-    case MergePolicyKind::kConstant:
-      if (components_.size() > static_cast<size_t>(mp.max_components)) {
-        return components_.size();
-      }
-      return 0;
-    case MergePolicyKind::kPrefix: {
-      // Merge the longest newest-first run of small components whose total
-      // stays under the cap; skip if the run is trivial.
-      size_t run = 0;
-      uint64_t total = 0;
-      for (const auto& comp : components_) {
-        uint64_t bytes = comp->bytes;
-        if (bytes > mp.max_merged_bytes) break;
-        if (total + bytes > mp.max_merged_bytes) break;
-        total += bytes;
-        run++;
-      }
-      return run >= 2 ? run : 0;
-    }
-  }
-  return 0;
-}
-
-Status LsmBTree::MergeRunLocked(std::unique_lock<std::mutex>& lock,
-                                size_t run) {
-  if (merge_active_) return Status::OK();  // another thread is merging
-  if (run < 2 || run > components_.size()) {
-    return Status::InvalidArgument("bad merge component count");
-  }
-  merge_active_ = true;
-  const bool includes_oldest = run == components_.size();
-  std::vector<ComponentPtr> victims(
-      components_.begin(), components_.begin() + static_cast<ptrdiff_t>(run));
-  const uint64_t seq_lo = victims.back()->seq_lo;
-  const uint64_t seq_hi = victims.front()->seq_hi;
-  lock.unlock();
-  auto built = [&]() -> Result<ComponentPtr> {
-    AX_ASSIGN_OR_RETURN(auto rows, BuildMergedRows(victims, includes_oldest));
-    return BuildDiskComponent(rows, seq_lo, seq_hi);
-  }();
-  lock.lock();
-  merge_active_ = false;
-  maint_cv_.notify_all();
-  if (!built.ok()) return built.status();
-  // Flushes only prepend, so the victim run is still contiguous (and still
-  // the oldest suffix if it was one); splice the merged component into its
-  // place. Readers that pinned the victims keep reading them until their
-  // last reference drops, at which point the files are unlinked.
-  auto first =
-      std::find(components_.begin(), components_.end(), victims.front());
-  if (first == components_.end()) {
-    return Status::Internal("merge victims vanished from component list");
-  }
-  uint64_t bytes = built.value()->bytes;
-  for (auto& victim : victims) victim->obsolete = true;
-  auto pos = components_.erase(first, first + static_cast<ptrdiff_t>(run));
-  components_.insert(pos, std::move(built).value());
-  merges_++;
-  LsmMergesCounter()->Add(1);
-  LsmMergeBytesCounter()->Add(bytes);
-  return Status::OK();
-}
-
-Result<bool> LsmBTree::ApplyMergePolicyLocked(
-    std::unique_lock<std::mutex>& lock) {
-  if (merge_active_) return false;
-  size_t run = PickMergeRunLocked();
-  if (run < 2) return false;
-  AX_RETURN_NOT_OK(MergeRunLocked(lock, run));
-  return true;
-}
-
-Result<bool> LsmBTree::MaybeMerge() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (merge_active_) maint_cv_.wait(lock);
-  return ApplyMergePolicyLocked(lock);
-}
-
-Status LsmBTree::ForceFullMerge() {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!maint_error_.ok()) return maint_error_;
-  RotateMemLocked();
-  AX_RETURN_NOT_OK(DrainImmutablesLocked(lock));
-  while (merge_active_) maint_cv_.wait(lock);
-  if (components_.size() < 2) return Status::OK();
-  return MergeRunLocked(lock, components_.size());
-}
-
 LsmStats LsmBTree::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  LsmStats s;
-  s.mem_entries = mem_.size();
-  s.mem_bytes = mem_bytes_;
-  s.pending_immutables = immutables_.size();
-  for (const auto& imm : immutables_) {
-    s.mem_entries += imm->entries;
-    s.mem_bytes += imm->bytes;
-  }
-  s.disk_components = components_.size();
-  for (const auto& comp : components_) {
-    if (comp->columnar()) s.columnar_components++;
-    s.disk_entries += comp->entries();
-    s.disk_bytes += comp->bytes;
-  }
-  s.flushes = flushes_;
-  s.merges = merges_;
-  s.write_stalls = write_stalls_;
-  return s;
+  return life_.Stats([](const DiskComponent& comp, LsmStats* s) {
+    if (comp.columnar()) s->columnar_components++;
+    s->disk_entries += comp.entries();
+  });
 }
 
 }  // namespace asterix::storage

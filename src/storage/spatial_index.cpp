@@ -58,7 +58,8 @@ class RTreeSpatialIndex : public SpatialIndex {
   Status ForceFullMerge() override { return tree_->ForceFullMerge(); }
   SpatialIndexStats stats() const override {
     auto s = tree_->stats();
-    return SpatialIndexStats{s.disk_pages, s.disk_entries, s.disk_components};
+    return SpatialIndexStats{s.disk_bytes / kPageSize, s.disk_entries,
+                             s.disk_components};
   }
   SpatialIndexKind kind() const override { return SpatialIndexKind::kRTree; }
 

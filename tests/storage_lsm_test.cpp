@@ -1,10 +1,14 @@
 // Tests for the LSM B+tree: memory/disk components, flush, antimatter
-// deletes, merged iteration, merge policies, and crash-free reopen.
+// deletes, merged iteration, merge policies, and crash-free reopen; the
+// merge-policy cases run over the LSM R-tree too.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
+#include <utility>
 
 #include "adm/key_encoder.h"
+#include "lsm_tree_ops.h"
 #include "storage/lsm_btree.h"
 
 namespace asterix::storage {
@@ -271,63 +275,92 @@ TEST_F(LsmTest, SeekWithinMergedView) {
   EXPECT_EQ(it.value(), "even");
 }
 
-// Property sweep over merge policies: contents identical regardless.
-struct PolicyParam {
-  MergePolicyKind kind;
-  const char* name;
-};
+// ---- Lifecycle behaviour shared by both LSM trees --------------------------
 
-class LsmPolicySweep : public LsmTest,
-                       public ::testing::WithParamInterface<PolicyParam> {};
+template <class Tree>
+class LsmLifecycleTest : public LsmTreeTest<Tree> {};
+TYPED_TEST_SUITE(LsmLifecycleTest, LsmTreeTypes, LsmTreeNames);
 
-TEST_P(LsmPolicySweep, SameContentsUnderAnyPolicy) {
-  auto opts = Options(1 << 11);
-  opts.merge_policy.kind = GetParam().kind;
-  opts.merge_policy.max_components = 3;
-  opts.merge_policy.max_merged_bytes = 1 << 20;
-  auto tree = LsmBTree::Open(opts).value();
-  // Deterministic workload with overwrites and deletes.
-  for (int round = 0; round < 3; round++) {
+// Property sweep over merge policies: contents identical regardless, and
+// each tree merges exactly when its policy says so.
+TYPED_TEST(LsmLifecycleTest, SameContentsUnderAnyPolicy) {
+  using Ops = typename TestFixture::Ops;
+  const std::pair<MergePolicyKind, const char*> policies[] = {
+      {MergePolicyKind::kNoMerge, "none"},
+      {MergePolicyKind::kConstant, "constant"},
+      {MergePolicyKind::kPrefix, "prefix"}};
+  for (const auto& [kind, name] : policies) {
+    SCOPED_TRACE(name);
+    auto opts = this->Options(nullptr, 1 << 11);
+    opts.name = name;
+    opts.merge_policy = {kind, 3, 1 << 20};
+    auto tree = this->Open(opts);
+    // Deterministic workload with overwrites and deletes.
+    std::map<int64_t, std::string> model;
+    for (int round = 0; round < 3; round++) {
+      for (int i = 0; i < 400; i++) {
+        ASSERT_TRUE(ModelPut(*tree, &model, i,
+                             "r" + std::to_string(round) + "_" +
+                                 std::to_string(i))
+                        .ok());
+      }
+      for (int i = round * 10; i < round * 10 + 50; i++) {
+        ASSERT_TRUE(ModelErase(*tree, &model, i).ok());
+      }
+    }
+    // Expected final state: keys deleted in round 2 (20..69) absent unless
+    // rewritten afterwards — round 2 deletes happen after its puts, so keys
+    // 20..69 are deleted; everything else holds "r2_<i>".
     for (int i = 0; i < 400; i++) {
-      ASSERT_TRUE(
-          tree->Put(IntKey(i), "r" + std::to_string(round) + "_" +
-                                   std::to_string(i))
-              .ok());
+      bool deleted = i >= 20 && i < 70;
+      auto found = Ops::Find(*tree, i).value();
+      EXPECT_EQ(found.has_value(), !deleted) << "key " << i;
+      if (found) {
+        EXPECT_EQ(*found, "r2_" + std::to_string(i));
+      }
     }
-    for (int i = round * 10; i < round * 10 + 50; i++) {
-      ASSERT_TRUE(tree->Delete(IntKey(i)).ok());
-    }
-  }
-  // Expected final state: keys deleted in round 2 (20..69) absent unless
-  // rewritten afterwards — round 2 deletes happen after its puts, so keys
-  // 20..69 are deleted; everything else holds "r2_<i>".
-  std::string v;
-  for (int i = 0; i < 400; i++) {
-    bool deleted = i >= 20 && i < 70;
-    bool found = tree->Get(IntKey(i), &v).value();
-    EXPECT_EQ(found, !deleted) << "key " << i;
-    if (found) {
-      EXPECT_EQ(v, "r2_" + std::to_string(i));
+    auto rows = Ops::Scan(*tree).value();
+    EXPECT_EQ(rows.size(), 350u);
+    EXPECT_EQ(rows, ModelRows(model));
+    if (kind == MergePolicyKind::kNoMerge) {
+      EXPECT_EQ(tree->stats().merges, 0u);
+    } else {
+      EXPECT_GT(tree->stats().merges, 0u);
     }
   }
-  auto it = tree->NewIterator().value();
-  ASSERT_TRUE(it.SeekToFirst().ok());
-  int count = 0;
-  while (it.Valid()) {
-    count++;
-    ASSERT_TRUE(it.Next().ok());
-  }
-  EXPECT_EQ(count, 350);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Policies, LsmPolicySweep,
-    ::testing::Values(PolicyParam{MergePolicyKind::kNoMerge, "none"},
-                      PolicyParam{MergePolicyKind::kConstant, "constant"},
-                      PolicyParam{MergePolicyKind::kPrefix, "prefix"}),
-    [](const ::testing::TestParamInfo<PolicyParam>& info) {
-      return info.param.name;
-    });
+// A prefix merge of newer components that does not reach the oldest one
+// must keep the victims' deletes: they still hide entries below.
+TYPED_TEST(LsmLifecycleTest, DeleteInOldComponentHiddenAfterPrefixMerge) {
+  using Ops = typename TestFixture::Ops;
+  uint64_t oldest_bytes = 0;
+  {
+    auto tree = this->Open(this->Options(nullptr, 1u << 30));
+    for (int i = 0; i < 5000; i++) ASSERT_TRUE(Ops::Put(*tree, i, "x").ok());
+    ASSERT_TRUE(tree->Flush().ok());
+    oldest_bytes = tree->stats().disk_bytes;
+  }
+  // Every write now flushes one small component and applies the policy,
+  // whose cap leaves the large oldest component out of every run.
+  auto opts = this->Options(nullptr, 1);
+  opts.merge_policy = {MergePolicyKind::kPrefix, 0, oldest_bytes - 1};
+  auto tree = this->Open(opts);
+  ASSERT_TRUE(Ops::Erase(*tree, 5, "x").ok());
+  EXPECT_EQ(tree->stats().disk_components, 2u);
+  ASSERT_TRUE(Ops::Put(*tree, 6000, "y").ok());
+  EXPECT_EQ(tree->stats().merges, 1u);  // the two newest, not the oldest
+  EXPECT_EQ(tree->stats().disk_components, 2u);
+  EXPECT_FALSE(Ops::Find(*tree, 5).value().has_value());
+  EXPECT_EQ(Ops::Find(*tree, 6000).value(), "y");
+  EXPECT_EQ(Ops::Scan(*tree).value().size(), 5000u);
+
+  // A full merge then annihilates the delete with the entry it hides.
+  ASSERT_TRUE(tree->ForceFullMerge().ok());
+  EXPECT_EQ(tree->stats().disk_components, 1u);
+  EXPECT_FALSE(Ops::Find(*tree, 5).value().has_value());
+  EXPECT_EQ(Ops::Scan(*tree).value().size(), 5000u);
+}
 
 }  // namespace
 }  // namespace asterix::storage

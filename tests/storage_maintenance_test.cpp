@@ -9,22 +9,20 @@
 #include <chrono>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <set>
 #include <thread>
+#include <type_traits>
 
 #include "adm/key_encoder.h"
 #include "asterix/instance.h"
 #include "common/io.h"
-#include "storage/lsm_btree.h"
-#include "storage/lsm_rtree.h"
+#include "common/metrics.h"
+#include "lsm_tree_ops.h"
 #include "storage/maintenance.h"
 
 namespace asterix::storage {
 namespace {
-
-std::string IntKey(int64_t v) {
-  return adm::EncodeKey(adm::Value::Int(v)).value();
-}
 
 // ---- scheduler ------------------------------------------------------------
 
@@ -77,38 +75,37 @@ TEST(MaintenanceSchedulerTest, RunBatchPropagatesFirstError) {
   EXPECT_EQ(ran.load(), 3);  // an error does not cancel the other jobs
 }
 
-// ---- LSM B+tree under background maintenance ------------------------------
+// ---- Both LSM trees under background maintenance --------------------------
+//
+// LsmBTree and LsmRTree share one LsmLifecycle, so every case runs over
+// both (see lsm_tree_ops.h for how entries map onto each tree).
 
-class MaintenanceLsmTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = ::testing::TempDir() + "axmaint_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-    cache_ = std::make_unique<BufferCache>(256);
+template <class Tree>
+class MaintenanceLsmTest : public LsmTreeTest<Tree> {};
+TYPED_TEST_SUITE(MaintenanceLsmTest, LsmTreeTypes, LsmTreeNames);
+
+uint64_t CounterValue(const char* name) {
+  return metrics::Registry::Global().GetCounter(name)->value();
+}
+
+// Blocks a one-worker scheduler until release() so flushes queue behind it.
+struct BlockedScheduler {
+  MaintenanceScheduler sched{1};
+  std::atomic<bool> released{false};
+  BlockedScheduler() {
+    sched.Submit([this] {
+      while (!released.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
   }
-  void TearDown() override {
-    cache_.reset();
-    std::filesystem::remove_all(dir_);
-  }
-  LsmOptions Options(MaintenanceScheduler* sched,
-                     size_t mem_budget = 1 << 14) {
-    LsmOptions o;
-    o.dir = dir_;
-    o.name = "ds";
-    o.cache = cache_.get();
-    o.mem_budget_bytes = mem_budget;
-    o.scheduler = sched;
-    return o;
-  }
-  std::string dir_;
-  std::unique_ptr<BufferCache> cache_;
+  ~BlockedScheduler() { released.store(true); }
 };
 
-TEST_F(MaintenanceLsmTest, ConcurrentReadersDuringBackgroundFlush) {
+TYPED_TEST(MaintenanceLsmTest, ConcurrentReadersDuringBackgroundFlush) {
+  using Ops = typename TestFixture::Ops;
   MaintenanceScheduler sched(2);
-  auto tree = LsmBTree::Open(Options(&sched)).value();
+  auto tree = this->Open(this->Options(&sched));
   const int kN = 3000;
   std::atomic<int> written{0};
   std::atomic<bool> failed{false};
@@ -119,20 +116,19 @@ TEST_F(MaintenanceLsmTest, ConcurrentReadersDuringBackgroundFlush) {
   std::vector<std::thread> readers;
   for (int r = 0; r < 2; r++) {
     readers.emplace_back([&] {
-      std::string v;
       while (written.load() < kN && !failed.load()) {
         int upto = written.load();
         if (upto == 0) continue;
         int key = upto / 2;
-        auto got = tree->Get(IntKey(key), &v);
-        if (!got.ok() || !got.value() || v != "v" + std::to_string(key)) {
+        auto got = Ops::Find(*tree, key);
+        if (!got.ok() || got.value() != "v" + std::to_string(key)) {
           failed.store(true);
         }
       }
     });
   }
   for (int i = 0; i < kN; i++) {
-    ASSERT_TRUE(tree->Put(IntKey(i), "v" + std::to_string(i)).ok());
+    ASSERT_TRUE(Ops::Put(*tree, i, "v" + std::to_string(i)).ok());
     written.store(i + 1);
   }
   for (auto& t : readers) t.join();
@@ -141,204 +137,247 @@ TEST_F(MaintenanceLsmTest, ConcurrentReadersDuringBackgroundFlush) {
   ASSERT_TRUE(tree->Flush().ok());
   EXPECT_GT(tree->stats().flushes, 0u);
   EXPECT_EQ(tree->stats().pending_immutables, 0u);
-  std::string v;
   for (int i = 0; i < kN; i++) {
-    ASSERT_TRUE(tree->Get(IntKey(i), &v).value()) << i;
-    EXPECT_EQ(v, "v" + std::to_string(i));
+    EXPECT_EQ(Ops::Find(*tree, i).value(), "v" + std::to_string(i)) << i;
   }
 }
 
-TEST_F(MaintenanceLsmTest, SnapshotStableAcrossFlushAndMerge) {
+TYPED_TEST(MaintenanceLsmTest, SnapshotStableAcrossFlushAndMerge) {
+  using Ops = typename TestFixture::Ops;
   MaintenanceScheduler sched(2);
-  auto tree = LsmBTree::Open(Options(&sched)).value();
+  auto tree = this->Open(this->Options(&sched));
   for (int i = 0; i < 200; i++) {
-    ASSERT_TRUE(tree->Put(IntKey(i), "old").ok());
+    ASSERT_TRUE(Ops::Put(*tree, i, "old").ok());
   }
   ASSERT_TRUE(tree->Flush().ok());
 
-  // Open the snapshot first; everything after must be invisible to it.
-  auto it = tree->NewIterator().value();
-  auto snap = tree->GetScanSnapshot();
-  for (int i = 200; i < 400; i++) {
-    ASSERT_TRUE(tree->Put(IntKey(i), "new").ok());
+  // A B+tree iterator pins the stack it opened against: everything after
+  // must be invisible to it, even once the merge retires its components.
+  std::optional<LsmBTree::Iterator> pinned;
+  if constexpr (std::is_same_v<TypeParam, LsmBTree>) {
+    pinned = tree->NewIterator().value();
   }
-  ASSERT_TRUE(tree->Put(IntKey(0), "overwritten").ok());
-  ASSERT_TRUE(tree->Flush().ok());
-  ASSERT_TRUE(tree->ForceFullMerge().ok());
-  EXPECT_EQ(tree->stats().disk_components, 1u);
-
-  size_t n = 0;
-  ASSERT_TRUE(it.SeekToFirst().ok());
-  while (it.Valid()) {
-    EXPECT_EQ(it.value(), "old");  // pre-merge, pre-overwrite contents
-    n++;
-    ASSERT_TRUE(it.Next().ok());
-  }
-  EXPECT_EQ(n, 200u);
-  EXPECT_EQ(snap.mem.size(), 0u);  // flushed before the snapshot
-
-  // Fresh reads see the post-merge state.
-  std::string v;
-  ASSERT_TRUE(tree->Get(IntKey(0), &v).value());
-  EXPECT_EQ(v, "overwritten");
-  ASSERT_TRUE(tree->Get(IntKey(399), &v).value());
-  EXPECT_EQ(v, "new");
-}
-
-TEST_F(MaintenanceLsmTest, GetScanParityDuringBackgroundMerges) {
-  MaintenanceScheduler sched(2);
-  LsmOptions o = Options(&sched, 1 << 13);
-  o.merge_policy = {MergePolicyKind::kConstant, 3, 0};
-  auto tree = LsmBTree::Open(o).value();
-
-  std::map<std::string, std::string> model;
+  // Every scan, of either tree, reads one consistent stack: while the
+  // writer adds keys and flushes and merges run, a scan sees each original
+  // key exactly once and never an entry twice.
   std::atomic<bool> stop{false};
   std::atomic<bool> failed{false};
-  // A reader hammers point lookups on a fixed key that is overwritten
-  // throughout: it must always see *some* committed value for it.
   std::thread reader([&] {
-    std::string v;
+    while (!stop.load() && !failed.load()) {
+      auto rows = Ops::Scan(*tree);
+      if (!rows.ok()) {
+        failed.store(true);
+        break;
+      }
+      std::set<int64_t> seen;
+      size_t originals = 0;
+      for (const auto& [k, v] : rows.value()) {
+        if (!seen.insert(k).second) failed.store(true);
+        if (k >= 1 && k < 200) {
+          originals++;
+          if (v != "old") failed.store(true);
+        }
+      }
+      if (originals != 199) failed.store(true);
+    }
+  });
+  for (int i = 200; i < 400; i++) {
+    ASSERT_TRUE(Ops::Put(*tree, i, "new").ok());
+  }
+  ASSERT_TRUE(Ops::Overwrite(*tree, 0, "old", "overwritten").ok());
+  ASSERT_TRUE(tree->Flush().ok());
+  ASSERT_TRUE(tree->ForceFullMerge().ok());
+  stop.store(true);
+  reader.join();
+  EXPECT_FALSE(failed.load());
+  EXPECT_EQ(tree->stats().disk_components, 1u);
+
+  if constexpr (std::is_same_v<TypeParam, LsmBTree>) {
+    size_t n = 0;
+    ASSERT_TRUE(pinned->SeekToFirst().ok());
+    while (pinned->Valid()) {
+      EXPECT_EQ(pinned->value(), "old");  // pre-merge, pre-overwrite contents
+      n++;
+      ASSERT_TRUE(pinned->Next().ok());
+    }
+    EXPECT_EQ(n, 200u);
+  }
+  // Fresh reads see the post-merge state.
+  EXPECT_EQ(Ops::Find(*tree, 0).value(), "overwritten");
+  EXPECT_EQ(Ops::Find(*tree, 399).value(), "new");
+  EXPECT_EQ(Ops::Scan(*tree).value().size(), 400u);
+}
+
+TYPED_TEST(MaintenanceLsmTest, ReadParityDuringBackgroundMerges) {
+  using Ops = typename TestFixture::Ops;
+  MaintenanceScheduler sched(2);
+  auto o = this->Options(&sched, 1 << 13);
+  o.merge_policy = {MergePolicyKind::kConstant, 3, 0};
+  auto tree = this->Open(o);
+
+  std::map<int64_t, std::string> model;
+  std::atomic<bool> stop{false};
+  std::atomic<bool> failed{false};
+  // A reader probes a key that is overwritten and deleted throughout (it
+  // must always see *some* committed value for it, or none) and scans the
+  // whole tree, across background flushes and merges.
+  std::thread reader([&] {
     while (!stop.load()) {
-      auto got = tree->Get(IntKey(7), &v);
-      if (!got.ok() || (got.value() && v.rfind("x", 0) != 0)) {
+      auto got = Ops::Find(*tree, 7);
+      if (!got.ok() || (got.value() && got.value()->rfind("x", 0) != 0) ||
+          !Ops::Scan(*tree).ok()) {
         failed.store(true);
         return;
       }
     }
   });
   for (int i = 0; i < 4000; i++) {
-    std::string key = IntKey(i % 500);
     if (i % 7 == 3) {
-      ASSERT_TRUE(tree->Delete(key).ok());
-      model.erase(key);
+      ASSERT_TRUE(ModelErase(*tree, &model, i % 500).ok());
     } else {
-      std::string val = "x" + std::to_string(i);
-      ASSERT_TRUE(tree->Put(key, val).ok());
-      model[key] = val;
+      ASSERT_TRUE(ModelPut(*tree, &model, i % 500, "x" + std::to_string(i)).ok());
     }
   }
   stop.store(true);
   reader.join();
   EXPECT_FALSE(failed.load());
+  EXPECT_EQ(Ops::Scan(*tree).value(), ModelRows(model));
 
   ASSERT_TRUE(tree->Flush().ok());
+  EXPECT_GT(tree->stats().flushes, 0u);
   ASSERT_TRUE(tree->ForceFullMerge().ok());
-  // Scan parity with the model after merges settled.
-  auto it = tree->NewIterator().value();
-  ASSERT_TRUE(it.SeekToFirst().ok());
-  size_t n = 0;
-  while (it.Valid()) {
-    auto m = model.find(it.key());
-    ASSERT_NE(m, model.end());
-    EXPECT_EQ(it.value(), m->second);
-    n++;
-    ASSERT_TRUE(it.Next().ok());
-  }
-  EXPECT_EQ(n, model.size());
+  EXPECT_GT(tree->stats().merges, 0u);
+  EXPECT_EQ(Ops::Scan(*tree).value(), ModelRows(model));
 }
 
-TEST_F(MaintenanceLsmTest, BackpressureStallsWriterAtBound) {
+TYPED_TEST(MaintenanceLsmTest, BackpressureStallsWriterAtBound) {
   // One worker, blocked by a long sleeper: flushes queue behind it, so the
   // writer must hit the max_pending_immutables bound and stall (counted in
   // stats + metrics) instead of buffering unboundedly.
-  MaintenanceScheduler sched(1);
-  std::atomic<bool> release{false};
-  sched.Submit([&] {
-    while (!release.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-  LsmOptions o = Options(&sched, 1 << 12);
+  using Ops = typename TestFixture::Ops;
+  BlockedScheduler blocked;
+  auto o = this->Options(&blocked.sched, 1 << 12);
   o.max_pending_immutables = 1;
-  auto tree = LsmBTree::Open(o).value();
+  auto tree = this->Open(o);
   std::thread releaser([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    release.store(true);
+    blocked.released.store(true);
   });
   std::string pad(128, 'p');
   for (int i = 0; i < 200; i++) {
-    ASSERT_TRUE(tree->Put(IntKey(i), pad).ok());
+    ASSERT_TRUE(Ops::Put(*tree, i, pad).ok());
   }
   releaser.join();
   ASSERT_TRUE(tree->Flush().ok());
   EXPECT_GT(tree->stats().write_stalls, 0u);
-  std::string v;
   for (int i = 0; i < 200; i++) {
-    ASSERT_TRUE(tree->Get(IntKey(i), &v).value()) << i;
+    EXPECT_EQ(Ops::Find(*tree, i).value(), pad) << i;
   }
 }
 
-TEST_F(MaintenanceLsmTest, DrainOnCloseCompletesInflightFlushes) {
+TYPED_TEST(MaintenanceLsmTest, DeletesAloneTripTheMemoryBudget) {
+  using Ops = typename TestFixture::Ops;
+  std::string pad(64, 'd');
+  {
+    // Inline maintenance: a delete-only stream past the budget rotates and
+    // flushes components like any other write.
+    auto tree = this->Open(this->Options(nullptr, 1 << 12));
+    for (int i = 0; i < 400; i++) {
+      ASSERT_TRUE(Ops::Erase(*tree, i, pad).ok());
+    }
+    EXPECT_GT(tree->stats().flushes, 0u);
+    EXPECT_LT(tree->stats().mem_bytes, size_t{1} << 12);
+  }
+  // Under a blocked scheduler the same stream stalls at the bound.
+  BlockedScheduler blocked;
+  auto o = this->Options(&blocked.sched, 1 << 12);
+  o.name = "deletes_async";
+  o.max_pending_immutables = 1;
+  auto tree = this->Open(o);
+  std::thread releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    blocked.released.store(true);
+  });
+  for (int i = 0; i < 400; i++) {
+    ASSERT_TRUE(Ops::Erase(*tree, i, pad).ok());
+  }
+  releaser.join();
+  ASSERT_TRUE(tree->Flush().ok());
+  EXPECT_GT(tree->stats().write_stalls, 0u);
+  EXPECT_TRUE(Ops::Scan(*tree).value().empty());
+}
+
+TYPED_TEST(MaintenanceLsmTest, DrainOnCloseCompletesInflightFlushes) {
+  using Ops = typename TestFixture::Ops;
   MaintenanceScheduler sched(2);
-  size_t flushes = 0;
   std::string pad(64, 'q');
   {
-    auto tree = LsmBTree::Open(Options(&sched, 1 << 12)).value();
+    auto tree = this->Open(this->Options(&sched, 1 << 12));
     for (int i = 0; i < 1000; i++) {
-      ASSERT_TRUE(tree->Put(IntKey(i), pad).ok());
+      ASSERT_TRUE(Ops::Put(*tree, i, pad).ok());
     }
-    flushes = tree->stats().flushes + tree->stats().pending_immutables;
     // Destructor: waits for in-flight background work; queued-but-unrun
     // flushes still run (scheduler holds no dangling tree pointer after).
   }
-  // Reopen without a scheduler: every component on disk must be complete
-  // (a torn file would have been dropped and changed the count).
-  auto tree = LsmBTree::Open(Options(nullptr)).value();
+  // Every component the close left on disk is complete: reopening drops
+  // none as incomplete (each component is a data file plus its commit
+  // point) and every recovered row reads back intact.
+  const size_t files = this->FileCount();
+  const uint64_t dropped =
+      CounterValue("storage.lsm.incomplete_components_dropped");
+  auto tree = this->Open(this->Options(nullptr));
+  EXPECT_EQ(CounterValue("storage.lsm.incomplete_components_dropped"),
+            dropped);
   EXPECT_GE(tree->stats().disk_components, 1u);
-  std::string v;
-  // Whatever was flushed must read back intact.
-  auto it = tree->NewIterator().value();
-  ASSERT_TRUE(it.SeekToFirst().ok());
-  while (it.Valid()) {
-    EXPECT_EQ(it.value(), pad);
-    ASSERT_TRUE(it.Next().ok());
+  EXPECT_EQ(files, 2 * tree->stats().disk_components);
+  auto rows = Ops::Scan(*tree).value();
+  EXPECT_EQ(rows.size(), tree->stats().disk_entries);
+  std::set<int64_t> keys;
+  for (const auto& [k, v] : rows) {
+    EXPECT_EQ(v, pad);
+    EXPECT_TRUE(k >= 0 && k < 1000) << k;
+    EXPECT_TRUE(keys.insert(k).second) << k;
   }
 }
 
-// ---- LSM R-tree under background maintenance ------------------------------
-
-TEST_F(MaintenanceLsmTest, RTreeBackgroundFlushQueryParity) {
-  MaintenanceScheduler sched(2);
-  LsmRTreeOptions o;
-  o.dir = dir_;
-  o.name = "rt";
-  o.cache = cache_.get();
-  o.mem_budget_bytes = 1 << 12;
-  o.scheduler = &sched;
-  auto tree = LsmRTree::Open(o).value();
-
-  std::atomic<bool> stop{false};
-  std::atomic<bool> failed{false};
-  std::thread reader([&] {
-    adm::Rectangle q{{0, 0}, {1000, 1000}};
-    while (!stop.load()) {
-      if (!tree->Query(q).ok()) failed.store(true);
-    }
-  });
-  std::set<std::string> expect;
-  Status write_status;
-  for (int i = 0; i < 800 && write_status.ok(); i++) {
-    double x = (i * 13) % 900, y = (i * 29) % 900;
-    adm::Rectangle r{{x, y}, {x, y}};  // point entries (point-mode default)
-    write_status = tree->Insert(r, "p" + std::to_string(i));
-    if (!write_status.ok()) break;
-    if (i % 5 == 2) {
-      write_status = tree->Remove(r, "p" + std::to_string(i));
-    } else {
-      expect.insert("p" + std::to_string(i));
-    }
+TYPED_TEST(MaintenanceLsmTest, TornFlushDroppedAtOpen) {
+  using Ops = typename TestFixture::Ops;
+  {
+    auto tree = this->Open(this->Options());
+    for (int i = 0; i < 100; i++) ASSERT_TRUE(Ops::Put(*tree, i, "a").ok());
+    ASSERT_TRUE(tree->Flush().ok());
+    for (int i = 100; i < 200; i++) ASSERT_TRUE(Ops::Put(*tree, i, "b").ok());
+    ASSERT_TRUE(tree->Flush().ok());
   }
-  stop.store(true);
-  reader.join();
-  ASSERT_TRUE(write_status.ok()) << write_status.message();
-  EXPECT_FALSE(failed.load());
-  ASSERT_TRUE(tree->Flush().ok());
-  EXPECT_GT(tree->stats().flushes, 0u);
+  // Simulate a crash that tore the newest flush: its commit point (the
+  // file written last) is missing. File names order by sequence number.
+  std::vector<std::filesystem::path> files;
+  for (const auto& e : std::filesystem::directory_iterator(this->dir_)) {
+    files.push_back(e.path());
+  }
+  ASSERT_EQ(files.size(), 4u);
+  std::sort(files.begin(), files.end());
+  std::vector<std::filesystem::path> newest(files.begin() + 2, files.end());
+  const std::string commit_ext =
+      std::is_same_v<TypeParam, LsmBTree> ? ".bloom" : ".del";
+  for (const auto& f : newest) {
+    if (f.extension() == commit_ext) std::filesystem::remove(f);
+  }
+  const uint64_t dropped =
+      CounterValue("storage.lsm.incomplete_components_dropped");
 
-  auto entries = tree->Query({{0, 0}, {1000, 1000}}).value();
-  std::set<std::string> got;
-  for (auto& e : entries) got.insert(e.payload);
-  EXPECT_EQ(got, expect);
+  // Open drops the torn component (its data file too) and keeps the rest.
+  auto tree = this->Open(this->Options());
+  EXPECT_EQ(tree->stats().disk_components, 1u);
+  EXPECT_EQ(this->FileCount(), 2u);
+  for (const auto& f : newest) EXPECT_FALSE(std::filesystem::exists(f)) << f;
+  if constexpr (std::is_same_v<TypeParam, LsmBTree>) {
+    EXPECT_EQ(CounterValue("storage.lsm.incomplete_components_dropped"),
+              dropped + 1);
+  }
+  std::map<int64_t, std::string> expect;
+  for (int i = 0; i < 100; i++) expect[i] = "a";
+  EXPECT_EQ(Ops::Scan(*tree).value(), ModelRows(expect));
 }
 
 }  // namespace
@@ -406,6 +445,38 @@ TEST_F(MaintenanceInstanceTest, TornBackgroundFlushRecoversFromWal) {
   for (int i = 0; i < 500; i++) {
     ASSERT_TRUE(inst->GetByKey("D", Value::Int(i), &rec).value()) << i;
   }
+}
+
+TEST_F(MaintenanceInstanceTest, NoMergePolicyLeavesRTreeIndexUnmerged) {
+  // The instance's merge policy governs every index, R-tree ones included.
+  InstanceOptions opts;
+  opts.base_dir = dir_;
+  opts.num_partitions = 1;
+  opts.lsm_mem_budget_bytes = 1 << 14;
+  opts.merge_policy.kind = storage::MergePolicyKind::kNoMerge;
+  auto inst = Instance::Open(opts).value();
+  ASSERT_TRUE(inst->ExecuteScript("CREATE TYPE P AS { id: int, loc: point };"
+                                  "CREATE DATASET D(P) PRIMARY KEY id;"
+                                  "CREATE INDEX locIdx ON D (loc) TYPE RTREE")
+                  .ok());
+  auto* rtree_merges =
+      metrics::Registry::Global().GetCounter("storage.lsm_rtree.merges");
+  const uint64_t merges_before = rtree_merges->value();
+  for (int i = 0; i < 3000; i++) {
+    Value rec = adm::ObjectBuilder()
+                    .Add("id", Value::Int(i))
+                    .Add("loc", Value::MakePoint(i % 100, i / 100))
+                    .Build();
+    ASSERT_TRUE(inst->UpsertValue("D", rec).ok());
+  }
+  ASSERT_TRUE(inst->Checkpoint().ok());
+  size_t rtree_components = 0;
+  for (auto& p : std::filesystem::recursive_directory_iterator(dir_)) {
+    if (p.path().extension() == ".rt") rtree_components++;
+  }
+  // The default constant policy would have merged past 5 components.
+  EXPECT_GT(rtree_components, 5u);
+  EXPECT_EQ(rtree_merges->value(), merges_before);
 }
 
 TEST_F(MaintenanceInstanceTest, CheckpointFansOutAcrossPartitions) {

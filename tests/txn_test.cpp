@@ -324,7 +324,7 @@ TEST_F(InvertedTest, Tokenizer) {
 
 TEST_F(InvertedTest, SearchPostings) {
   storage::BufferCache cache(64);
-  storage::InvertedIndexOptions o;
+  storage::LsmLifecycleOptions o;
   o.dir = dir_;
   o.name = "inv";
   o.cache = &cache;
@@ -349,7 +349,7 @@ TEST_F(InvertedTest, SearchPostings) {
 
 TEST_F(InvertedTest, RemoveAndFlush) {
   storage::BufferCache cache(64);
-  storage::InvertedIndexOptions o;
+  storage::LsmLifecycleOptions o;
   o.dir = dir_;
   o.name = "inv";
   o.cache = &cache;
