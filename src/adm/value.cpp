@@ -253,19 +253,12 @@ uint64_t Value::Hash() const {
     case TypeTag::kBoolean: return i64_ ? 0xb001 : 0xb000;
     case TypeTag::kInt64:
     case TypeTag::kDouble: {
-      // Numbers equal across tags must hash equal: hash the double image
-      // when the int is exactly representable, else hash the int bits.
-      if (tag_ == TypeTag::kInt64) {
-        double d = static_cast<double>(i64_);
-        if (static_cast<int64_t>(d) == i64_ &&
-            std::abs(i64_) < (int64_t{1} << 53)) {
-          uint64_t bits;
-          std::memcpy(&bits, &d, 8);
-          return HashBytes(&bits, 8);
-        }
-        return HashBytes(&i64_, 8);
-      }
-      double d = dbl_ == 0.0 ? 0.0 : dbl_;  // normalize -0.0
+      // Numbers equal across tags must hash equal. Compare sets an int
+      // against a double by the int's double image, so hash that image for
+      // every int — also past 2^53, where neighbouring ints share one
+      // image (they collide, which is allowed).
+      double d = tag_ == TypeTag::kInt64 ? static_cast<double>(i64_) : dbl_;
+      if (d == 0.0) d = 0.0;  // normalize -0.0
       uint64_t bits;
       std::memcpy(&bits, &d, 8);
       return HashBytes(&bits, 8);

@@ -1,5 +1,8 @@
 #include "algebricks/compiler.h"
 
+#include <algorithm>
+#include <array>
+
 namespace asterix::algebricks {
 
 namespace {
@@ -73,6 +76,87 @@ hyracks::BatchPredicate VarVarCmp(size_t lpos, size_t rpos, CmpOp op) {
                 PassesCmp(l.Compare(r), op);
     }
     return Status::OK();
+  };
+}
+
+/// field-access(<base>, "<name>") with a constant name — the shape every
+/// `x.name` path step compiles to.
+bool IsConstFieldAccess(const Expr& e) {
+  return e.kind == ExprKind::kCall && e.fn == "field-access" &&
+         e.args.size() == 2 && e.args[1]->kind == ExprKind::kConstant &&
+         e.args[1]->constant.is_string();
+}
+
+/// Follow `path` inside `base`, each step with the "field-access" builtin's
+/// semantics: NULL stays NULL, a non-object (MISSING included) yields
+/// MISSING.
+const adm::Value& WalkPath(const adm::Value& base,
+                           const std::vector<std::string>& path) {
+  static const adm::Value kNull = adm::Value::Null();
+  static const adm::Value kMissing;
+  const adm::Value* v = &base;
+  for (const auto& name : path) {
+    if (v->is_object()) {
+      v = &v->GetField(name);
+    } else {
+      return v->is_null() ? kNull : kMissing;
+    }
+  }
+  return *v;
+}
+
+/// A path of constant-name field accesses, x.a.b...: the steps are taken
+/// by reference inside the base value, so neither the record nor the
+/// intermediate objects nor the names are copied — only the final field.
+/// When the root is a variable, the base is the tuple slot itself.
+Result<hyracks::TupleEval> CompileFieldPath(const ExprPtr& expr,
+                                            const VarPositions& positions,
+                                            const FunctionRegistry& registry) {
+  std::vector<std::string> path;  // outermost step first
+  ExprPtr root = expr;
+  while (IsConstFieldAccess(*root)) {
+    path.push_back(root->args[1]->constant.AsString());
+    root = root->args[0];
+  }
+  std::reverse(path.begin(), path.end());
+  if (root->kind == ExprKind::kVariable) {
+    auto it = positions.find(root->var);
+    if (it == positions.end()) {
+      return Status::Internal("unbound variable $" +
+                              std::to_string(root->var) +
+                              " during compilation");
+    }
+    size_t pos = it->second;
+    return hyracks::TupleEval(
+        [pos, path = std::move(path)](
+            const hyracks::Tuple& t) -> Result<adm::Value> {
+          if (pos >= t.arity()) return TupleTooNarrow();
+          return WalkPath(t.at(pos), path);
+        });
+  }
+  // The root is computed (a call or constant): evaluate it once, then walk.
+  AX_ASSIGN_OR_RETURN(auto root_eval, CompileExpr(root, positions, registry));
+  return hyracks::TupleEval(
+      [root_eval = std::move(root_eval), path = std::move(path)](
+          const hyracks::Tuple& t) -> Result<adm::Value> {
+        AX_ASSIGN_OR_RETURN(adm::Value base, root_eval(t));
+        return WalkPath(base, path);
+      });
+}
+
+/// A call of fixed width N: the arguments land in a buffer on the
+/// evaluator's own stack, so evaluating the call allocates nothing for them.
+template <size_t N>
+hyracks::TupleEval CallWithInlineArgs(const ScalarFn* fn,
+                                      std::vector<hyracks::TupleEval> evals) {
+  std::array<hyracks::TupleEval, N> e;
+  std::move(evals.begin(), evals.end(), e.begin());
+  return [fn, e = std::move(e)](const hyracks::Tuple& t) -> Result<adm::Value> {
+    std::array<adm::Value, N> args;
+    for (size_t i = 0; i < N; i++) {
+      AX_ASSIGN_OR_RETURN(args[i], e[i](t));
+    }
+    return (*fn)(Args(args.data(), N));
   };
 }
 
@@ -189,13 +273,32 @@ Result<hyracks::TupleEval> CompileExpr(const ExprPtr& expr,
           });
     }
     case ExprKind::kCall: {
-      AX_ASSIGN_OR_RETURN(const ScalarFn* fn, registry.Lookup(expr->fn));
+      AX_ASSIGN_OR_RETURN(const FunctionRegistry::Entry* entry,
+                          registry.Lookup(expr->fn));
+      if (!entry->arity.Accepts(expr->args.size())) {
+        return Status::InvalidArgument(
+            "function " + expr->fn + " expects " + entry->arity.ToString() +
+            " argument(s), got " + std::to_string(expr->args.size()));
+      }
+      if (IsConstFieldAccess(*expr)) {
+        return CompileFieldPath(expr, positions, registry);
+      }
       std::vector<hyracks::TupleEval> arg_evals;
       arg_evals.reserve(expr->args.size());
       for (const auto& a : expr->args) {
         AX_ASSIGN_OR_RETURN(auto e, CompileExpr(a, positions, registry));
         arg_evals.push_back(std::move(e));
       }
+      const ScalarFn* fn = &entry->fn;
+      switch (arg_evals.size()) {
+        case 0: return CallWithInlineArgs<0>(fn, std::move(arg_evals));
+        case 1: return CallWithInlineArgs<1>(fn, std::move(arg_evals));
+        case 2: return CallWithInlineArgs<2>(fn, std::move(arg_evals));
+        case 3: return CallWithInlineArgs<3>(fn, std::move(arg_evals));
+        case 4: return CallWithInlineArgs<4>(fn, std::move(arg_evals));
+        default: break;
+      }
+      // Wider calls (record and list constructors) are rare: heap buffer.
       return hyracks::TupleEval(
           [fn, arg_evals = std::move(arg_evals)](
               const hyracks::Tuple& t) -> Result<adm::Value> {

@@ -14,7 +14,7 @@ namespace {
 using adm::Value;
 
 // SQL++ unknown propagation: MISSING beats NULL beats values.
-bool PropagateUnknown(const std::vector<Value>& args, Value* out) {
+bool PropagateUnknown(Args args, Value* out) {
   bool missing = false, null = false;
   for (const auto& a : args) {
     if (a.is_missing()) missing = true;
@@ -31,37 +31,36 @@ bool PropagateUnknown(const std::vector<Value>& args, Value* out) {
   return false;
 }
 
-Status ArityError(const std::string& fn, size_t want, size_t got) {
-  return Status::InvalidArgument("function " + fn + " expects " +
-                                 std::to_string(want) + " argument(s), got " +
-                                 std::to_string(got));
-}
-
-Value CompareResult(int cmp, const std::string& op) {
-  if (op == "eq") return Value::Boolean(cmp == 0);
-  if (op == "neq") return Value::Boolean(cmp != 0);
-  if (op == "lt") return Value::Boolean(cmp < 0);
-  if (op == "le") return Value::Boolean(cmp <= 0);
-  if (op == "gt") return Value::Boolean(cmp > 0);
-  return Value::Boolean(cmp >= 0);  // ge
-}
-
 }  // namespace
+
+std::string Arity::ToString() const {
+  if (max == min) return std::to_string(min);
+  if (max == kVariadic) return "at least " + std::to_string(min);
+  return std::to_string(min) + " to " + std::to_string(max);
+}
 
 FunctionRegistry::FunctionRegistry() {
   // ---- comparisons ---------------------------------------------------------
-  for (const char* op : {"eq", "neq", "lt", "le", "gt", "ge"}) {
-    std::string name = op;
-    Register(name, [name](const std::vector<Value>& a) -> Result<Value> {
-      if (a.size() != 2) return ArityError(name, 2, a.size());
+  // Each comparison captures its outcome test, so a call compares values
+  // once and never re-reads its own name.
+  const std::pair<const char*, bool (*)(int)> comparisons[] = {
+      {"eq", [](int c) { return c == 0; }},
+      {"neq", [](int c) { return c != 0; }},
+      {"lt", [](int c) { return c < 0; }},
+      {"le", [](int c) { return c <= 0; }},
+      {"gt", [](int c) { return c > 0; }},
+      {"ge", [](int c) { return c >= 0; }},
+  };
+  for (const auto& [name, passes] : comparisons) {
+    Register(name, Arity(2), [passes](Args a) -> Result<Value> {
       Value unknown;
       if (PropagateUnknown(a, &unknown)) return unknown;
-      return CompareResult(a[0].Compare(a[1]), name);
+      return Value::Boolean(passes(a[0].Compare(a[1])));
     });
   }
 
   // ---- boolean logic (3-valued) -------------------------------------------
-  Register("and", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("and", Arity::AtLeast(0), [](Args a) -> Result<Value> {
     bool has_unknown = false;
     for (const auto& v : a) {
       if (v.is_unknown()) {
@@ -75,7 +74,7 @@ FunctionRegistry::FunctionRegistry() {
     if (has_unknown) return Value::Null();
     return Value::Boolean(true);
   });
-  Register("or", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("or", Arity::AtLeast(0), [](Args a) -> Result<Value> {
     bool has_unknown = false;
     for (const auto& v : a) {
       if (v.is_unknown()) {
@@ -89,8 +88,7 @@ FunctionRegistry::FunctionRegistry() {
     if (has_unknown) return Value::Null();
     return Value::Boolean(false);
   });
-  Register("not", [](const std::vector<Value>& a) -> Result<Value> {
-    if (a.size() != 1) return ArityError("not", 1, a.size());
+  Register("not", Arity(1), [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (!a[0].is_boolean()) return Value::Null();
@@ -98,17 +96,17 @@ FunctionRegistry::FunctionRegistry() {
   });
 
   // ---- unknown tests (must NOT propagate) ----------------------------------
-  Register("is-null", [](const std::vector<Value>& a) -> Result<Value> {
-    return Value::Boolean(a.at(0).is_null());
+  Register("is-null", Arity(1), [](Args a) -> Result<Value> {
+    return Value::Boolean(a[0].is_null());
   });
-  Register("is-missing", [](const std::vector<Value>& a) -> Result<Value> {
-    return Value::Boolean(a.at(0).is_missing());
+  Register("is-missing", Arity(1), [](Args a) -> Result<Value> {
+    return Value::Boolean(a[0].is_missing());
   });
-  Register("is-unknown", [](const std::vector<Value>& a) -> Result<Value> {
-    return Value::Boolean(a.at(0).is_unknown());
+  Register("is-unknown", Arity(1), [](Args a) -> Result<Value> {
+    return Value::Boolean(a[0].is_unknown());
   });
-  Register("if-missing-or-null",
-           [](const std::vector<Value>& a) -> Result<Value> {
+  Register("if-missing-or-null", Arity::AtLeast(1),
+           [](Args a) -> Result<Value> {
              for (const auto& v : a) {
                if (!v.is_unknown()) return v;
              }
@@ -118,9 +116,8 @@ FunctionRegistry::FunctionRegistry() {
   // ---- arithmetic ----------------------------------------------------------
   auto arith = [this](const std::string& name, auto op_int, auto op_dbl,
                       bool int_result_possible) {
-    Register(name, [name, op_int, op_dbl, int_result_possible](
-                       const std::vector<Value>& a) -> Result<Value> {
-      if (a.size() != 2) return ArityError(name, 2, a.size());
+    Register(name, Arity(2), [name, op_int, op_dbl, int_result_possible](
+                                 Args a) -> Result<Value> {
       Value unknown;
       if (PropagateUnknown(a, &unknown)) return unknown;
       if (!a[0].is_numeric() || !a[1].is_numeric()) {
@@ -151,16 +148,14 @@ FunctionRegistry::FunctionRegistry() {
         [](double x, double y) { return x - y; }, true);
   arith("mul", [](int64_t x, int64_t y) { return x * y; },
         [](double x, double y) { return x * y; }, true);
-  Register("div", [](const std::vector<Value>& a) -> Result<Value> {
-    if (a.size() != 2) return ArityError("div", 2, a.size());
+  Register("div", Arity(2), [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (!a[0].is_numeric() || !a[1].is_numeric()) return Value::Null();
     if (a[1].AsNumber() == 0) return Value::Null();
     return Value::Double(a[0].AsNumber() / a[1].AsNumber());
   });
-  Register("mod", [](const std::vector<Value>& a) -> Result<Value> {
-    if (a.size() != 2) return ArityError("mod", 2, a.size());
+  Register("mod", Arity(2), [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (!a[0].is_int() || !a[1].is_int() || a[1].AsInt() == 0) {
@@ -168,14 +163,14 @@ FunctionRegistry::FunctionRegistry() {
     }
     return Value::Int(a[0].AsInt() % a[1].AsInt());
   });
-  Register("neg", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("neg", Arity(1), [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (a[0].is_int()) return Value::Int(-a[0].AsInt());
     if (a[0].is_double()) return Value::Double(-a[0].AsDoubleExact());
     return Value::Null();
   });
-  Register("abs", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("abs", Arity(1), [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (a[0].is_int()) return Value::Int(std::abs(a[0].AsInt()));
@@ -184,15 +179,13 @@ FunctionRegistry::FunctionRegistry() {
   });
 
   // ---- record / collection access ------------------------------------------
-  Register("field-access", [](const std::vector<Value>& a) -> Result<Value> {
-    if (a.size() != 2) return ArityError("field-access", 2, a.size());
+  Register("field-access", Arity(2), [](Args a) -> Result<Value> {
     if (a[0].is_missing()) return Value::Missing();
     if (a[0].is_null()) return Value::Null();
     if (!a[0].is_object() || !a[1].is_string()) return Value::Missing();
     return a[0].GetField(a[1].AsString());
   });
-  Register("get-item", [](const std::vector<Value>& a) -> Result<Value> {
-    if (a.size() != 2) return ArityError("get-item", 2, a.size());
+  Register("get-item", Arity(2), [](Args a) -> Result<Value> {
     if (a[0].is_unknown() || a[1].is_unknown()) return Value::Missing();
     if (!a[0].is_collection() || !a[1].is_int()) return Value::Missing();
     int64_t i = a[1].AsInt();
@@ -203,7 +196,7 @@ FunctionRegistry::FunctionRegistry() {
     }
     return items[static_cast<size_t>(i)];
   });
-  Register("coll-count", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("coll-count", Arity(1), [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (!a[0].is_collection()) return Value::Null();
@@ -213,8 +206,7 @@ FunctionRegistry::FunctionRegistry() {
   // collects values into lists, then applies these; SQL++'s COLL_* forms
   // also resolve here).
   auto coll_agg = [this](const std::string& name, auto combine, bool count) {
-    Register(name, [name, combine, count](
-                       const std::vector<Value>& a) -> Result<Value> {
+    Register(name, Arity(1), [name, combine, count](Args a) -> Result<Value> {
       Value unknown;
       if (PropagateUnknown(a, &unknown)) return unknown;
       if (!a[0].is_collection()) return Value::Null();
@@ -253,8 +245,7 @@ FunctionRegistry::FunctionRegistry() {
              return acc.is_unknown() || v.Compare(acc) > 0 ? v : acc;
            },
            false);
-  Register("in", [](const std::vector<Value>& a) -> Result<Value> {
-    if (a.size() != 2) return ArityError("in", 2, a.size());
+  Register("in", Arity(2), [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (!a[1].is_collection()) return Value::Null();
@@ -263,14 +254,14 @@ FunctionRegistry::FunctionRegistry() {
     }
     return Value::Boolean(false);
   });
-  Register("array-append", [](const std::vector<Value>& a) -> Result<Value> {
-    if (!a.at(0).is_collection()) return Value::Null();
+  Register("array-append", Arity::AtLeast(1), [](Args a) -> Result<Value> {
+    if (!a[0].is_collection()) return Value::Null();
     std::vector<Value> items = a[0].items();
     for (size_t i = 1; i < a.size(); i++) items.push_back(a[i]);
     return Value::Array(std::move(items));
   });
   // Record constructor: pairs of (name, value); missing values drop fields.
-  Register("open-record", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("open-record", Arity::AtLeast(0), [](Args a) -> Result<Value> {
     if (a.size() % 2 != 0) {
       return Status::InvalidArgument("open-record expects name/value pairs");
     }
@@ -284,21 +275,21 @@ FunctionRegistry::FunctionRegistry() {
     }
     return Value::Object(std::move(fields));
   });
-  Register("ordered-list", [](const std::vector<Value>& a) -> Result<Value> {
-    return Value::Array(a);
+  Register("ordered-list", Arity::AtLeast(0), [](Args a) -> Result<Value> {
+    return Value::Array({a.begin(), a.end()});
   });
-  Register("unordered-list", [](const std::vector<Value>& a) -> Result<Value> {
-    return Value::Multiset(a);
+  Register("unordered-list", Arity::AtLeast(0), [](Args a) -> Result<Value> {
+    return Value::Multiset({a.begin(), a.end()});
   });
 
   // ---- strings --------------------------------------------------------------
-  Register("string-length", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("string-length", Arity(1), [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (!a[0].is_string()) return Value::Null();
     return Value::Int(static_cast<int64_t>(a[0].AsString().size()));
   });
-  Register("lower", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("lower", Arity(1), [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (!a[0].is_string()) return Value::Null();
@@ -306,7 +297,7 @@ FunctionRegistry::FunctionRegistry() {
     for (auto& c : s) c = static_cast<char>(std::tolower(c));
     return Value::String(std::move(s));
   });
-  Register("upper", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("upper", Arity(1), [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (!a[0].is_string()) return Value::Null();
@@ -314,7 +305,7 @@ FunctionRegistry::FunctionRegistry() {
     for (auto& c : s) c = static_cast<char>(std::toupper(c));
     return Value::String(std::move(s));
   });
-  Register("concat", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("concat", Arity::AtLeast(1), [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     std::string out;
@@ -324,21 +315,20 @@ FunctionRegistry::FunctionRegistry() {
     }
     return Value::String(std::move(out));
   });
-  Register("contains", [](const std::vector<Value>& a) -> Result<Value> {
-    if (a.size() != 2) return ArityError("contains", 2, a.size());
+  Register("contains", Arity(2), [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (!a[0].is_string() || !a[1].is_string()) return Value::Null();
     return Value::Boolean(a[0].AsString().find(a[1].AsString()) !=
                           std::string::npos);
   });
-  Register("starts-with", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("starts-with", Arity(2), [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (!a[0].is_string() || !a[1].is_string()) return Value::Null();
     return Value::Boolean(a[0].AsString().rfind(a[1].AsString(), 0) == 0);
   });
-  Register("substring", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("substring", Arity(2, 3), [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (!a[0].is_string() || !a[1].is_int()) return Value::Null();
@@ -354,8 +344,7 @@ FunctionRegistry::FunctionRegistry() {
     return Value::String(s.substr(static_cast<size_t>(start), len));
   });
   // like with SQL % and _ wildcards (simple backtracking matcher).
-  Register("like", [](const std::vector<Value>& a) -> Result<Value> {
-    if (a.size() != 2) return ArityError("like", 2, a.size());
+  Register("like", Arity(2), [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (!a[0].is_string() || !a[1].is_string()) return Value::Null();
@@ -379,8 +368,7 @@ FunctionRegistry::FunctionRegistry() {
     return Value::Boolean(match(0, 0));
   });
   // Full-text keyword containment (backs the KEYWORD index).
-  Register("ftcontains", [](const std::vector<Value>& a) -> Result<Value> {
-    if (a.size() != 2) return ArityError("ftcontains", 2, a.size());
+  Register("ftcontains", Arity(2), [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (!a[0].is_string() || !a[1].is_string()) return Value::Null();
@@ -400,7 +388,7 @@ FunctionRegistry::FunctionRegistry() {
   });
 
   // ---- temporal -------------------------------------------------------------
-  Register("datetime", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("datetime", Arity(1), [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (a[0].tag() == adm::TypeTag::kDatetime) return a[0];
@@ -408,7 +396,7 @@ FunctionRegistry::FunctionRegistry() {
     AX_ASSIGN_OR_RETURN(int64_t ms, adm::temporal::ParseDatetime(a[0].AsString()));
     return Value::Datetime(ms);
   });
-  Register("date", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("date", Arity(1), [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (a[0].tag() == adm::TypeTag::kDate) return a[0];
@@ -416,7 +404,7 @@ FunctionRegistry::FunctionRegistry() {
     AX_ASSIGN_OR_RETURN(int64_t d, adm::temporal::ParseDate(a[0].AsString()));
     return Value::Date(d);
   });
-  Register("duration", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("duration", Arity(1), [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (a[0].tag() == adm::TypeTag::kDuration) return a[0];
@@ -424,15 +412,14 @@ FunctionRegistry::FunctionRegistry() {
     AX_ASSIGN_OR_RETURN(int64_t ms, adm::temporal::ParseDuration(a[0].AsString()));
     return Value::Duration(ms);
   });
-  Register("current-datetime", [](const std::vector<Value>&) -> Result<Value> {
+  Register("current-datetime", Arity(0), [](Args) -> Result<Value> {
     auto now = std::chrono::system_clock::now().time_since_epoch();
     return Value::Datetime(
         std::chrono::duration_cast<std::chrono::milliseconds>(now).count());
   });
   // interval-bin(ts, anchor, bin-duration) -> start datetime of the bin
   // (the §V-D temporal-study primitive).
-  Register("interval-bin", [](const std::vector<Value>& a) -> Result<Value> {
-    if (a.size() != 3) return ArityError("interval-bin", 3, a.size());
+  Register("interval-bin", Arity(3), [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (a[0].tag() != adm::TypeTag::kDatetime ||
@@ -444,8 +431,7 @@ FunctionRegistry::FunctionRegistry() {
         a[0].TemporalValue(), a[1].TemporalValue(), a[2].TemporalValue()));
   });
   // overlap-ms(s1, e1, s2, e2): allocation of spanning activities to bins.
-  Register("overlap-ms", [](const std::vector<Value>& a) -> Result<Value> {
-    if (a.size() != 4) return ArityError("overlap-ms", 4, a.size());
+  Register("overlap-ms", Arity(4), [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     for (const auto& v : a) {
@@ -459,7 +445,7 @@ FunctionRegistry::FunctionRegistry() {
   // ---- spatial ---------------------------------------------------------------
   // Typed constructors from strings, matching ADM literal syntax:
   // point("x,y") and rectangle("x1,y1 x2,y2").
-  Register("point", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("point", Arity(1), [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (a[0].is_point()) return a[0];
@@ -470,7 +456,7 @@ FunctionRegistry::FunctionRegistry() {
     }
     return Value::MakePoint(x, y);
   });
-  Register("rectangle", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("rectangle", Arity(1), [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (a[0].is_rectangle()) return a[0];
@@ -483,22 +469,19 @@ FunctionRegistry::FunctionRegistry() {
     }
     return Value::MakeRectangle({x1, y1}, {x2, y2});
   });
-  Register("create-point", [](const std::vector<Value>& a) -> Result<Value> {
-    if (a.size() != 2) return ArityError("create-point", 2, a.size());
+  Register("create-point", Arity(2), [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (!a[0].is_numeric() || !a[1].is_numeric()) return Value::Null();
     return Value::MakePoint(a[0].AsNumber(), a[1].AsNumber());
   });
-  Register("create-rectangle", [](const std::vector<Value>& a) -> Result<Value> {
-    if (a.size() != 2) return ArityError("create-rectangle", 2, a.size());
+  Register("create-rectangle", Arity(2), [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (!a[0].is_point() || !a[1].is_point()) return Value::Null();
     return Value::MakeRectangle(a[0].AsPoint(), a[1].AsPoint());
   });
-  Register("spatial-intersect", [](const std::vector<Value>& a) -> Result<Value> {
-    if (a.size() != 2) return ArityError("spatial-intersect", 2, a.size());
+  Register("spatial-intersect", Arity(2), [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (!(a[0].is_point() || a[0].is_rectangle()) ||
@@ -509,20 +492,20 @@ FunctionRegistry::FunctionRegistry() {
   });
 
   // ---- conversions / misc ----------------------------------------------------
-  Register("to-string", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("to-string", Arity(1), [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (a[0].is_string()) return a[0];
     return Value::String(a[0].ToString());
   });
-  Register("to-double", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("to-double", Arity(1), [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (a[0].is_numeric()) return Value::Double(a[0].AsNumber());
     if (a[0].is_string()) return Value::Double(std::atof(a[0].AsString().c_str()));
     return Value::Null();
   });
-  Register("switch-case", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("switch-case", Arity::AtLeast(1), [](Args a) -> Result<Value> {
     // switch-case(cond1, val1, cond2, val2, ..., default)
     size_t i = 0;
     for (; i + 1 < a.size(); i += 2) {
@@ -533,7 +516,7 @@ FunctionRegistry::FunctionRegistry() {
   });
 }
 
-Result<const ScalarFn*> FunctionRegistry::Lookup(
+Result<const FunctionRegistry::Entry*> FunctionRegistry::Lookup(
     const std::string& name) const {
   auto it = fns_.find(name);
   if (it == fns_.end()) {
@@ -542,8 +525,9 @@ Result<const ScalarFn*> FunctionRegistry::Lookup(
   return &it->second;
 }
 
-void FunctionRegistry::Register(const std::string& name, ScalarFn fn) {
-  fns_[name] = std::move(fn);
+void FunctionRegistry::Register(const std::string& name, Arity arity,
+                                ScalarFn fn) {
+  fns_.insert_or_assign(name, Entry{std::move(fn), arity});
 }
 
 const FunctionRegistry& FunctionRegistry::Instance() {

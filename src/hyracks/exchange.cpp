@@ -1,6 +1,6 @@
 #include "hyracks/exchange.h"
 
-#include "adm/serde.h"
+#include "hyracks/key_table.h"
 
 namespace asterix::hyracks {
 
@@ -52,10 +52,11 @@ Status BoundedTupleQueue::PushFrame(Frame frame, Frame* recycled) {
   std::unique_lock<std::mutex> lock(mu_);
   // Explicit wait loop (not a predicate lambda) so thread-safety analysis
   // sees the guarded accesses under the lock.
-  if (q_.size() >= capacity_frames_ && poison_.ok()) {
+  if (q_.size() >= capacity_frames_ && poison_.ok() && !consumer_closed_) {
     // Producer is blocked by downstream backpressure: time the wait.
     const uint64_t t0 = metrics::Enabled() ? metrics::NowNs() : 0;
-    while (q_.size() >= capacity_frames_ && poison_.ok()) {
+    while (q_.size() >= capacity_frames_ && poison_.ok() &&
+           !consumer_closed_) {
       // Cancellation wakes us via Poison (the Job's cancel listener);
       // deadlines have no listener, so bound the sleep by the deadline and
       // self-poison once it passes — that also unblocks the other side.
@@ -81,6 +82,7 @@ Status BoundedTupleQueue::PushFrame(Frame frame, Frame* recycled) {
     }
   }
   if (!poison_.ok()) return poison_;
+  if (consumer_closed_) return Status::OK();  // nobody will read it
   q_.push_back(std::move(frame));
   if (recycled != nullptr && !free_.empty()) {
     *recycled = std::move(free_.back());
@@ -101,6 +103,10 @@ Result<bool> BoundedTupleQueue::TryPushFrame(Frame* frame) {
   const uint64_t n_tuples = frame->size();
   std::lock_guard<std::mutex> lock(mu_);
   if (!poison_.ok()) return poison_;
+  if (consumer_closed_) {
+    frame->clear();  // discarded: nobody will read it
+    return true;
+  }
   if (q_.size() >= capacity_frames_) return false;
   q_.push_back(std::move(*frame));
   frame->clear();
@@ -176,6 +182,18 @@ void BoundedTupleQueue::Poison(const Status& st) {
   PoisonLocked(st);
 }
 
+void BoundedTupleQueue::CloseConsumer() {
+  std::lock_guard<std::mutex> lock(mu_);
+  consumer_closed_ = true;
+  q_.clear();
+  cv_push_.notify_all();
+}
+
+bool BoundedTupleQueue::consumer_closed() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return consumer_closed_;
+}
+
 Exchange::Exchange(size_t n_producers, size_t n_consumers,
                    size_t queue_capacity)
     : n_producers_(n_producers), stats_(std::make_shared<ExchangeStats>()) {
@@ -194,6 +212,9 @@ class QueueStream : public TupleStream {
  public:
   explicit QueueStream(std::shared_ptr<BoundedTupleQueue> q)
       : q_(std::move(q)) {}
+  /// A consumer torn down without Close (an aborted plan) reads no more
+  /// either.
+  ~QueueStream() override { q_->CloseConsumer(); }
   Status Open() override { return Status::OK(); }
   Result<bool> Next(Tuple* out) override {
     while (pos_ >= frame_.size()) {
@@ -229,7 +250,13 @@ class QueueStream : public TupleStream {
     NoteBatchEmitted(out->size());
     return true;
   }
-  Status Close() override { return Status::OK(); }
+  /// Tells the producers to stop: a consumer that closes before the end
+  /// of stream (a satisfied LIMIT) must not leave them blocked on a full
+  /// queue.
+  Status Close() override {
+    q_->CloseConsumer();
+    return Status::OK();
+  }
 
  private:
   std::shared_ptr<BoundedTupleQueue> q_;
@@ -275,12 +302,19 @@ Status Exchange::RunProducer(TupleStream* upstream, const RoutingFn& route) {
   // Pull batch-at-a-time and route each batch in one tight pass: the
   // virtual-call + Result overhead and the routing-lambda indirection are
   // paid per batch boundary, not per tuple-by-tuple Next chain.
+  auto all_consumers_closed = [&] {
+    for (auto& q : queues_) {
+      if (!q->consumer_closed()) return false;
+    }
+    return true;
+  };
   Batch batch;
   while (true) {
     if (ctx_ != nullptr) {
       Status alive = ctx_->CheckAlive();
       if (!alive.ok()) return fail(alive);
     }
+    if (all_consumers_closed()) break;  // nobody reads on: stop pulling
     auto more = upstream->NextBatch(&batch);
     if (!more.ok()) return fail(more.status());
     if (!more.value()) break;
@@ -320,11 +354,11 @@ Exchange::RoutingFn Exchange::HashRoute(std::vector<TupleEval> keys,
                                         size_t n_consumers) {
   return [keys = std::move(keys), n_consumers](
              const Tuple& t) -> Result<size_t> {
-    uint64_t h = 1469598103934665603ULL;
+    // The join and group-by tables hash keys the same way (key_table.h).
+    uint64_t h = kKeyHashSeed;
     for (const auto& k : keys) {
       AX_ASSIGN_OR_RETURN(adm::Value v, k(t));
-      h ^= v.Hash();
-      h *= 1099511628211ULL;
+      h = KeyHashStep(h, v);
     }
     return static_cast<size_t>(h % n_consumers);
   };

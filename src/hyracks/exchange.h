@@ -72,6 +72,12 @@ class BoundedTupleQueue {
   Result<bool> PopFrame(Frame* out) AX_EXCLUDES(mu_);
   void CloseOneProducer() AX_EXCLUDES(mu_);
   void Poison(const Status& st) AX_EXCLUDES(mu_);
+  /// The consumer wants no more frames (a LIMIT above it is satisfied, or
+  /// it drained the queue). Queued frames are dropped, later pushes are
+  /// discarded, and a producer blocked on backpressure wakes.
+  void CloseConsumer() AX_EXCLUDES(mu_);
+  /// True once CloseConsumer ran (never goes back to false).
+  bool consumer_closed() AX_EXCLUDES(mu_);
 
  private:
   /// Empty frames kept for recycling; small so idle queues hold no memory.
@@ -88,6 +94,7 @@ class BoundedTupleQueue {
   std::deque<Frame> q_ AX_GUARDED_BY(mu_);
   std::vector<Frame> free_ AX_GUARDED_BY(mu_);
   int open_producers_ AX_GUARDED_BY(mu_) = 0;
+  bool consumer_closed_ AX_GUARDED_BY(mu_) = false;
   Status poison_ AX_GUARDED_BY(mu_) = Status::OK();
 };
 
@@ -115,7 +122,9 @@ class Exchange {
 
   /// Drive one producer partition to completion: pulls `upstream`, routes
   /// each tuple. Call from a dedicated thread; closes its share of the
-  /// queues at end (or poisons them on failure).
+  /// queues at end (or poisons them on failure). Once every consumer has
+  /// closed its queue, the producer stops early: it closes `upstream` and
+  /// returns OK.
   Status RunProducer(TupleStream* upstream, const RoutingFn& route);
 
   /// Abort: fail every queue so blocked producers/consumers unwind.

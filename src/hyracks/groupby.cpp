@@ -1,6 +1,5 @@
 #include "hyracks/groupby.h"
 
-#include "adm/key_encoder.h"
 #include "common/metrics.h"
 
 namespace asterix::hyracks {
@@ -34,19 +33,16 @@ adm::Value AddNumbers(const adm::Value& a, const adm::Value& b) {
 bool Summable(const adm::Value& v) {
   return v.is_numeric() || v.tag() == adm::TypeTag::kDuration;
 }
-
-std::string GroupKeyId(const std::vector<adm::Value>& key) {
-  std::string id;
-  for (const auto& v : key) adm::SerializeValue(v, &id);
-  return id;
-}
 }  // namespace
 
 HashGroupByOp::HashGroupByOp(StreamPtr child, std::vector<TupleEval> keys,
                              std::vector<AggSpec> aggs, AggPhase phase,
                              size_t memory_budget_bytes, TempFileManager* tmp)
     : child_(std::move(child)), keys_(std::move(keys)), aggs_(std::move(aggs)),
-      phase_(phase), budget_(memory_budget_bytes), tmp_(tmp) {}
+      phase_(phase), budget_(memory_budget_bytes), tmp_(tmp),
+      table_(keys_.size()), state_arity_(0) {
+  for (const auto& spec : aggs_) state_arity_ += PartialArity(spec.kind);
+}
 
 HashGroupByOp::~HashGroupByOp() { CleanupSpillFiles(); }
 
@@ -65,22 +61,26 @@ size_t HashGroupByOp::PartialArity(AggKind kind) {
   return kind == AggKind::kAvg ? 2 : 1;
 }
 
-std::vector<adm::Value> HashGroupByOp::InitPartial(const AggSpec& spec) const {
-  switch (spec.kind) {
-    case AggKind::kCount: return {adm::Value::Int(0)};
-    case AggKind::kSum: return {adm::Value::Null()};
-    case AggKind::kMin: return {adm::Value::Null()};
-    case AggKind::kMax: return {adm::Value::Null()};
-    case AggKind::kAvg: return {adm::Value::Null(), adm::Value::Int(0)};
-    case AggKind::kCollect: return {adm::Value::Array({})};
+void HashGroupByOp::InitState(adm::Value* p) const {
+  for (const auto& spec : aggs_) {
+    switch (spec.kind) {
+      case AggKind::kCount: p[0] = adm::Value::Int(0); break;
+      case AggKind::kSum:
+      case AggKind::kMin:
+      case AggKind::kMax: p[0] = adm::Value::Null(); break;
+      case AggKind::kAvg:
+        p[0] = adm::Value::Null();
+        p[1] = adm::Value::Int(0);
+        break;
+      case AggKind::kCollect: p[0] = adm::Value::Array({}); break;
+    }
+    p += PartialArity(spec.kind);
   }
-  return {adm::Value::Null()};
 }
 
-Status HashGroupByOp::AccumulateRaw(GroupState* g, const Tuple& t) {
-  for (size_t i = 0; i < aggs_.size(); i++) {
-    const AggSpec& spec = aggs_[i];
-    auto& p = g->partials[i];
+Status HashGroupByOp::AccumulateRaw(adm::Value* p, const Tuple& t,
+                                    size_t* grown) {
+  for (const AggSpec& spec : aggs_) {
     adm::Value arg;
     if (spec.arg) {
       AX_ASSIGN_OR_RETURN(arg, spec.arg(t));
@@ -97,13 +97,13 @@ Status HashGroupByOp::AccumulateRaw(GroupState* g, const Tuple& t) {
       case AggKind::kMin:
         if (!arg.is_unknown() &&
             (p[0].is_unknown() || arg.Compare(p[0]) < 0)) {
-          p[0] = arg;
+          p[0] = std::move(arg);
         }
         break;
       case AggKind::kMax:
         if (!arg.is_unknown() &&
             (p[0].is_unknown() || arg.Compare(p[0]) > 0)) {
-          p[0] = arg;
+          p[0] = std::move(arg);
         }
         break;
       case AggKind::kAvg:
@@ -116,23 +116,22 @@ Status HashGroupByOp::AccumulateRaw(GroupState* g, const Tuple& t) {
         if (!arg.is_missing()) {
           // Collected arrays are the one aggregate whose state grows with
           // input; charge the growth so the spill trigger sees it.
-          g->bytes += arg.ByteSize();
+          *grown += arg.ByteSize();
           std::vector<adm::Value> items = p[0].items();
-          items.push_back(arg);
+          items.push_back(std::move(arg));
           p[0] = adm::Value::Array(std::move(items));
         }
         break;
     }
+    p += PartialArity(spec.kind);
   }
   return Status::OK();
 }
 
-Status HashGroupByOp::MergePartial(GroupState* g, const Tuple& t,
-                                   size_t key_arity) {
+Status HashGroupByOp::MergePartial(adm::Value* p, const Tuple& t,
+                                   size_t key_arity, size_t* grown) {
   size_t pos = key_arity;
-  for (size_t i = 0; i < aggs_.size(); i++) {
-    const AggSpec& spec = aggs_[i];
-    auto& p = g->partials[i];
+  for (const AggSpec& spec : aggs_) {
     switch (spec.kind) {
       case AggKind::kCount:
       case AggKind::kSum:
@@ -160,7 +159,7 @@ Status HashGroupByOp::MergePartial(GroupState* g, const Tuple& t,
         if (incoming.is_collection()) {
           // Merged-in partial arrays grow the state; charge them like
           // AccumulateRaw does.
-          for (const auto& v : incoming.items()) g->bytes += v.ByteSize();
+          for (const auto& v : incoming.items()) *grown += v.ByteSize();
           items.insert(items.end(), incoming.items().begin(),
                        incoming.items().end());
         }
@@ -169,43 +168,42 @@ Status HashGroupByOp::MergePartial(GroupState* g, const Tuple& t,
       }
     }
     pos += PartialArity(spec.kind);
+    p += PartialArity(spec.kind);
   }
   return Status::OK();
 }
 
-Result<Tuple> HashGroupByOp::Emit(GroupState&& g) const {
-  Tuple out;
-  out.fields = std::move(g.key);
-  for (size_t i = 0; i < aggs_.size(); i++) {
-    auto& p = g.partials[i];
-    if (phase_ == AggPhase::kPartial) {
-      out.fields.insert(out.fields.end(), std::make_move_iterator(p.begin()),
-                        std::make_move_iterator(p.end()));
-      continue;
+Status HashGroupByOp::Fold(adm::Value* state, const Tuple& t,
+                           bool input_is_partial, size_t* grown) {
+  return input_is_partial ? MergePartial(state, t, keys_.size(), grown)
+                          : AccumulateRaw(state, t, grown);
+}
+
+void HashGroupByOp::EmitGroup(std::span<adm::Value> key, adm::Value* p,
+                              Tuple* out) const {
+  out->fields.clear();
+  out->fields.reserve(key.size() + state_arity_);
+  for (auto& v : key) out->fields.push_back(std::move(v));
+  if (phase_ == AggPhase::kPartial) {
+    for (size_t i = 0; i < state_arity_; i++) {
+      out->fields.push_back(std::move(p[i]));
     }
-    switch (aggs_[i].kind) {
-      case AggKind::kCount:
-      case AggKind::kSum:
-      case AggKind::kMin:
-      case AggKind::kMax:
-      case AggKind::kCollect:
-        out.fields.push_back(std::move(p[0]));
-        break;
-      case AggKind::kAvg: {
-        if (p[0].is_unknown() || p[1].AsInt() == 0) {
-          out.fields.push_back(adm::Value::Null());
-        } else if (p[0].tag() == adm::TypeTag::kDuration) {
-          out.fields.push_back(
-              adm::Value::Duration(p[0].TemporalValue() / p[1].AsInt()));
-        } else {
-          out.fields.push_back(
-              adm::Value::Double(p[0].AsNumber() / p[1].AsNumber()));
-        }
-        break;
-      }
-    }
+    return;
   }
-  return out;
+  for (const AggSpec& spec : aggs_) {
+    if (spec.kind != AggKind::kAvg) {
+      out->fields.push_back(std::move(p[0]));
+    } else if (p[0].is_unknown() || p[1].AsInt() == 0) {
+      out->fields.push_back(adm::Value::Null());
+    } else if (p[0].tag() == adm::TypeTag::kDuration) {
+      out->fields.push_back(
+          adm::Value::Duration(p[0].TemporalValue() / p[1].AsInt()));
+    } else {
+      out->fields.push_back(
+          adm::Value::Double(p[0].AsNumber() / p[1].AsNumber()));
+    }
+    p += PartialArity(spec.kind);
+  }
 }
 
 Status HashGroupByOp::ProcessStream(
@@ -229,51 +227,31 @@ Status HashGroupByOp::ProcessStream(
 Status HashGroupByOp::ProcessTuple(
     const Tuple& t, bool input_is_partial, int level,
     std::vector<std::unique_ptr<RunWriter>>* spills) {
-  size_t key_arity = keys_.size();
-  std::vector<adm::Value> key;
-  key.reserve(key_arity);
+  const size_t key_arity = keys_.size();
+  key_.clear();
   if (input_is_partial) {
-    for (size_t i = 0; i < key_arity; i++) key.push_back(t.at(i));
+    for (size_t i = 0; i < key_arity; i++) key_.push_back(t.at(i));
   } else {
     for (const auto& kv : keys_) {
       AX_ASSIGN_OR_RETURN(adm::Value v, kv(t));
-      key.push_back(std::move(v));
+      key_.push_back(std::move(v));
     }
   }
-  std::string id = GroupKeyId(key);
-  auto it = table_.find(id);
-  if (it == table_.end()) {
+  const uint64_t hash = HashKey(key_);
+  uint32_t id = table_.Find(key_, hash);
+  size_t grown = 0;
+  if (id == KeyTable::kAbsent) {
     if (table_bytes_ > budget_) {
-      // Overflow: spill this tuple as a partial row to its partition.
-      GroupState tmp_state;
-      tmp_state.key = std::move(key);
-      for (const auto& spec : aggs_) {
-        tmp_state.partials.push_back(InitPartial(spec));
-      }
-      if (input_is_partial) {
-        AX_RETURN_NOT_OK(MergePartial(&tmp_state, t, key_arity));
-      } else {
-        AX_RETURN_NOT_OK(AccumulateRaw(&tmp_state, t));
-      }
+      // Overflow: spill this tuple as a partial row (key ++ state) to the
+      // partition of its key hash.
+      spill_.resize(state_arity_);
+      InitState(spill_.data());
+      AX_RETURN_NOT_OK(Fold(spill_.data(), t, input_is_partial, &grown));
       Tuple row;
-      row.fields = std::move(tmp_state.key);
-      for (auto& p : tmp_state.partials) {
-        row.fields.insert(row.fields.end(),
-                          std::make_move_iterator(p.begin()),
-                          std::make_move_iterator(p.end()));
-      }
-      // Salt + fully remix (splitmix64) the partition hash with the
-      // recursion level so an oversized partition splits differently at
-      // the next level. XOR-only salting would preserve equivalence
-      // classes mod kSpillPartitions and never make progress.
-      uint64_t x = std::hash<std::string>{}(id) +
-                   0x9E3779B97F4A7C15ULL * static_cast<uint64_t>(level + 1);
-      x ^= x >> 30;
-      x *= 0xBF58476D1CE4E5B9ULL;
-      x ^= x >> 27;
-      x *= 0x94D049BB133111EBULL;
-      x ^= x >> 31;
-      size_t part = static_cast<size_t>(x % kSpillPartitions);
+      row.fields.reserve(key_arity + state_arity_);
+      for (auto& v : key_) row.fields.push_back(std::move(v));
+      for (auto& v : spill_) row.fields.push_back(std::move(v));
+      size_t part = SpillPartitionOf(hash, level, kSpillPartitions);
       if (spills->empty()) spills->resize(kSpillPartitions);
       if (!(*spills)[part]) {
         AX_ASSIGN_OR_RETURN((*spills)[part],
@@ -284,47 +262,40 @@ Status HashGroupByOp::ProcessTuple(
       }
       return (*spills)[part]->Write(row);
     }
-    GroupState g;
-    g.key = std::move(key);
-    for (const auto& spec : aggs_) g.partials.push_back(InitPartial(spec));
-    // Uniform grant accounting: hash-entry bookkeeping + the encoded key
-    // the table stores + the key values held in the state.
-    g.bytes = kHashEntryOverheadBytes + id.size();
-    for (const auto& v : g.key) g.bytes += v.ByteSize();
-    table_bytes_ += g.bytes;
-    it = table_.emplace(std::move(id), std::move(g)).first;
+    // Uniform grant accounting: hash-entry bookkeeping + the key values
+    // the table stores + the group's state slots.
+    table_bytes_ += kHashEntryOverheadBytes + state_arity_ * sizeof(adm::Value);
+    for (const auto& v : key_) table_bytes_ += v.ByteSize();
+    id = table_.Insert(key_, hash);
+    states_.resize(states_.size() + state_arity_);
+    InitState(&states_[id * state_arity_]);
   }
   // Aggregation may grow the state (kCollect); mirror that growth into the
   // table-wide total the spill trigger tests.
-  GroupState& g = it->second;
-  size_t before = g.bytes;
-  if (input_is_partial) {
-    AX_RETURN_NOT_OK(MergePartial(&g, t, key_arity));
-  } else {
-    AX_RETURN_NOT_OK(AccumulateRaw(&g, t));
-  }
-  table_bytes_ += g.bytes - before;
+  AX_RETURN_NOT_OK(
+      Fold(&states_[id * state_arity_], t, input_is_partial, &grown));
+  table_bytes_ += grown;
   return Status::OK();
 }
 
-Status HashGroupByOp::DrainTableToOutput() {
-  for (auto& [id, g] : table_) {
-    (void)id;
-    AX_ASSIGN_OR_RETURN(Tuple out, Emit(std::move(g)));
+void HashGroupByOp::DrainTableToOutput() {
+  output_.reserve(output_.size() + table_.size());
+  for (uint32_t id = 0; id < table_.size(); id++) {
+    Tuple out;
+    EmitGroup(table_.key(id), &states_[id * state_arity_], &out);
     output_.push_back(std::move(out));
   }
-  table_.clear();
+  table_.Clear();
+  std::vector<adm::Value>().swap(states_);
   table_bytes_ = 0;
-  return Status::OK();
 }
-
 Status HashGroupByOp::Open() {
   AX_RETURN_NOT_OK(child_->Open());
   std::vector<std::unique_ptr<RunWriter>> spills;
   AX_RETURN_NOT_OK(ProcessStream(child_.get(), phase_ == AggPhase::kFinal,
                                  /*level=*/0, &spills));
   AX_RETURN_NOT_OK(child_->Close());
-  AX_RETURN_NOT_OK(DrainTableToOutput());
+  DrainTableToOutput();
   for (auto& w : spills) {
     if (w) {
       AX_RETURN_NOT_OK(w->Finish());
@@ -342,7 +313,7 @@ Status HashGroupByOp::Open() {
     std::vector<std::unique_ptr<RunWriter>> more_spills;
     AX_RETURN_NOT_OK(ProcessStream(reader.get(), /*input_is_partial=*/true,
                                    level, &more_spills));
-    AX_RETURN_NOT_OK(DrainTableToOutput());
+    DrainTableToOutput();
     for (auto& w : more_spills) {
       if (w) {
         AX_RETURN_NOT_OK(w->Finish());
@@ -357,9 +328,10 @@ Status HashGroupByOp::Open() {
   // Only the single complete/final instance seeds it — partial instances
   // stay silent so the final phase does not double-count empty partitions.
   if (keys_.empty() && output_.empty() && phase_ != AggPhase::kPartial) {
-    GroupState g;
-    for (const auto& spec : aggs_) g.partials.push_back(InitPartial(spec));
-    AX_ASSIGN_OR_RETURN(Tuple out, Emit(std::move(g)));
+    spill_.resize(state_arity_);
+    InitState(spill_.data());
+    Tuple out;
+    EmitGroup({}, spill_.data(), &out);
     output_.push_back(std::move(out));
   }
   out_pos_ = 0;

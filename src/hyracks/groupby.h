@@ -6,10 +6,11 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "common/io.h"
+#include "hyracks/key_table.h"
 #include "hyracks/spill.h"
 #include "hyracks/stream.h"
 #include "resource/governor.h"
@@ -62,30 +63,28 @@ class HashGroupByOp : public TupleStream {
   uint64_t bytes_spilled() const { return bytes_spilled_; }
 
  private:
-  struct GroupState {
-    std::vector<adm::Value> key;
-    // Per aggregate: running values. kAvg keeps {sum, count}; others one.
-    std::vector<std::vector<adm::Value>> partials;
-    size_t bytes = 0;
-  };
-
-  /// Raw-input accumulation (kComplete/kPartial).
-  Status AccumulateRaw(GroupState* g, const Tuple& t);
+  /// Raw-input accumulation (kComplete/kPartial) into one group's state
+  /// (state_arity_ values). Adds the bytes the state grew by to *grown.
+  Status AccumulateRaw(adm::Value* state, const Tuple& t, size_t* grown);
   /// Partial-state merge (kFinal): `t` is key fields ++ partial fields.
-  Status MergePartial(GroupState* g, const Tuple& t, size_t key_arity);
+  Status MergePartial(adm::Value* state, const Tuple& t, size_t key_arity,
+                      size_t* grown);
+  /// Fold `t` into `state` by the phase's rule (raw or partial input).
+  Status Fold(adm::Value* state, const Tuple& t, bool input_is_partial,
+              size_t* grown);
   /// Number of state fields each aggregate contributes in partial form.
   static size_t PartialArity(AggKind kind);
-  /// Consumes the group state: key and aggregate values move into the
-  /// output tuple (the table is cleared right after draining anyway).
-  Result<Tuple> Emit(GroupState&& g) const;
-  std::vector<adm::Value> InitPartial(const AggSpec& spec) const;
+  void InitState(adm::Value* state) const;
+  /// Consumes a group: key and aggregate values move into `out`.
+  void EmitGroup(std::span<adm::Value> key, adm::Value* state,
+                 Tuple* out) const;
 
   Status ProcessStream(TupleStream* input, bool input_is_partial, int level,
                        std::vector<std::unique_ptr<RunWriter>>* spills);
   /// Fold one input tuple into the hash table (or spill it on overflow).
   Status ProcessTuple(const Tuple& t, bool input_is_partial, int level,
                       std::vector<std::unique_ptr<RunWriter>>* spills);
-  Status DrainTableToOutput();
+  void DrainTableToOutput();
   /// Remove every spill file this operator created and nobody consumed
   /// (abort/cancel paths; consumed files self-delete via RunReader).
   void CleanupSpillFiles();
@@ -102,8 +101,13 @@ class HashGroupByOp : public TupleStream {
   /// for cleanup on abort. Removing already-deleted paths is a no-op.
   std::vector<std::string> owned_spill_paths_;
 
-  std::unordered_map<std::string, GroupState> table_;
+  /// Group keys by value; a group's id indexes its state in states_.
+  KeyTable table_;
+  size_t state_arity_;              // sum of PartialArity over aggs_
+  std::vector<adm::Value> states_;  // state_arity_ values per group id
   size_t table_bytes_ = 0;
+  std::vector<adm::Value> key_;    // the current input tuple's key (scratch)
+  std::vector<adm::Value> spill_;  // one spilled tuple's state (scratch)
   std::vector<Tuple> output_;
   size_t out_pos_ = 0;
   std::vector<std::pair<std::string, int>> pending_partitions_;  // (file, level)

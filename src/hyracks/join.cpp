@@ -1,6 +1,5 @@
 #include "hyracks/join.h"
 
-#include "adm/serde.h"
 #include "common/metrics.h"
 
 namespace asterix::hyracks {
@@ -18,20 +17,6 @@ metrics::Counter* JoinSpillBytesCounter() {
       metrics::Registry::Global().GetCounter("hyracks.join.spill_bytes");
   return c;
 }
-
-size_t PartitionOf(const std::string& key, int level) {
-  // Full splitmix64 remix: XOR-only salting preserves the equivalence
-  // classes mod kJoinPartitions, so a recursion level would re-map an
-  // entire oversized partition onto a single child partition forever.
-  uint64_t x = std::hash<std::string>{}(key) +
-               0x9E3779B97F4A7C15ULL * static_cast<uint64_t>(level + 1);
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ULL;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBULL;
-  x ^= x >> 31;
-  return static_cast<size_t>(x % kJoinPartitions);
-}
 }  // namespace
 
 HashJoinOp::HashJoinOp(StreamPtr left, StreamPtr right,
@@ -42,11 +27,11 @@ HashJoinOp::HashJoinOp(StreamPtr left, StreamPtr right,
     : left_(std::move(left)), right_(std::move(right)),
       left_keys_(std::move(left_keys)), right_keys_(std::move(right_keys)),
       type_(type), budget_(memory_budget_bytes), tmp_(tmp),
-      residual_(std::move(residual)), right_arity_(right_arity_hint) {}
+      residual_(std::move(residual)), right_arity_(right_arity_hint),
+      table_(right_keys_.size()) {}
 
 HashJoinOp::~HashJoinOp() {
-  output_reader_.reset();  // lets the output reader delete its file first
-  output_writer_.reset();
+  probe_reader_.reset();  // lets the reader delete its file first
   CleanupSpillFiles();
 }
 
@@ -61,31 +46,55 @@ void HashJoinOp::CleanupSpillFiles() {
   owned_spill_paths_.clear();
 }
 
-Result<std::string> HashJoinOp::KeyOf(const Tuple& t,
-                                      const std::vector<TupleEval>& keys,
-                                      bool* has_unknown) const {
-  std::string id;
-  *has_unknown = false;
-  for (const auto& k : keys) {
-    AX_ASSIGN_OR_RETURN(adm::Value v, k(t));
-    if (v.is_unknown()) *has_unknown = true;
-    adm::SerializeValue(v, &id);
-  }
-  return id;
+Status HashJoinOp::OpenStream(TupleStream* s) {
+  AX_RETURN_NOT_OK(s->Open());
+  if (s == left_.get()) left_open_ = true;
+  if (s == right_.get()) right_open_ = true;
+  return Status::OK();
 }
 
-Status HashJoinOp::JoinPair(TupleStream* probe, TupleStream* build,
-                            int level) {
+Status HashJoinOp::CloseStream(TupleStream* s) {
+  if (s == left_.get()) left_open_ = false;
+  if (s == right_.get()) right_open_ = false;
+  return s->Close();
+}
+
+Status HashJoinOp::EvalKey(const Tuple& t, const std::vector<TupleEval>& evals,
+                           bool* has_unknown) {
+  key_.clear();
+  for (const auto& k : evals) {
+    AX_ASSIGN_OR_RETURN(adm::Value v, k(t));
+    if (v.is_unknown()) {
+      *has_unknown = true;
+      return Status::OK();
+    }
+    key_.push_back(std::move(v));
+  }
+  *has_unknown = false;
+  return Status::OK();
+}
+
+void HashJoinOp::ReleaseTable() {
+  table_.Clear();
+  std::vector<Tuple>().swap(build_);
+  std::vector<uint32_t>().swap(next_build_);
+  std::vector<uint32_t>().swap(first_build_);
+}
+
+Result<bool> HashJoinOp::BuildOrPartition(TupleStream* probe,
+                                          TupleStream* build, int level) {
   if (level > static_cast<int>(stats_.recursion_depth)) {
     stats_.recursion_depth = static_cast<size_t>(level);
   }
-  AX_RETURN_NOT_OK(build->Open());
-  std::unordered_map<std::string, std::vector<Tuple>> table;
+  // Grace partitioning only helps when keys spread rows across partitions:
+  // with no equi keys (every row hashes identically) or past the recursion
+  // cap (pathological skew), degrade to an over-budget in-memory build
+  // instead of re-spilling the same rows forever.
+  const bool can_partition = !right_keys_.empty() && level < 4;
+  std::vector<std::unique_ptr<RunWriter>> build_parts, probe_parts;
   size_t table_bytes = 0;
-  bool grace = false;
-  std::vector<std::unique_ptr<RunWriter>> build_parts(kJoinPartitions);
-  std::vector<std::unique_ptr<RunWriter>> probe_parts(kJoinPartitions);
 
+  AX_RETURN_NOT_OK(OpenStream(build));
   // Batched build drain: one virtual NextBatch per frame of build input.
   Batch batch;
   while (true) {
@@ -95,195 +104,243 @@ Status HashJoinOp::JoinPair(TupleStream* probe, TupleStream* build,
     for (size_t bi = 0; bi < batch.size(); bi++) {
       Tuple& t = batch[bi];
       bool unknown = false;
-      AX_ASSIGN_OR_RETURN(std::string key, KeyOf(t, right_keys_, &unknown));
+      AX_RETURN_NOT_OK(EvalKey(t, right_keys_, &unknown));
       if (unknown) continue;  // unknown keys never match
       if (right_arity_ == 0) right_arity_ = t.arity();
-      // Grace partitioning only helps when keys spread rows across
-      // partitions: with no equi keys (every row hashes identically) or
-      // past the recursion cap (pathological skew), degrade to an
-      // over-budget in-memory build instead of re-spilling the same rows
-      // forever.
+      const uint64_t hash = HashKey(key_);
+      if (!build_parts.empty()) {
+        AX_RETURN_NOT_OK(build_parts[SpillPartitionOf(hash, level,
+                                                      kJoinPartitions)]
+                             ->Write(t));
+        continue;
+      }
+      uint32_t id = table_.Find(key_, hash);
       // Uniform grant accounting: the tuple's in-memory footprint plus the
-      // hash-entry bookkeeping it will cost if it stays in the table.
-      size_t entry_bytes = t.ApproxBytes() + key.size() + kHashEntryOverheadBytes;
-      bool can_partition = !right_keys_.empty() && level < 4;
-      if (!grace && can_partition && table_bytes + entry_bytes > budget_) {
+      // hash-entry bookkeeping, plus the key values for a new key.
+      size_t entry_bytes = t.ApproxBytes() + kHashEntryOverheadBytes;
+      if (id == KeyTable::kAbsent) {
+        for (const auto& v : key_) entry_bytes += v.ByteSize();
+      }
+      if (can_partition && table_bytes + entry_bytes > budget_) {
         // Switch to grace mode: open all partitions and dump the table.
-        grace = true;
         stats_.partitions_spilled += kJoinPartitions;
         JoinPartitionsCounter()->Add(kJoinPartitions);
         for (size_t p = 0; p < kJoinPartitions; p++) {
-          AX_ASSIGN_OR_RETURN(build_parts[p],
+          AX_ASSIGN_OR_RETURN(auto bw,
                               RunWriter::Create(tmp_->NextPath("joinbuild")));
-          AX_ASSIGN_OR_RETURN(probe_parts[p],
+          AX_ASSIGN_OR_RETURN(auto pw,
                               RunWriter::Create(tmp_->NextPath("joinprobe")));
-          owned_spill_paths_.push_back(build_parts[p]->path());
-          owned_spill_paths_.push_back(probe_parts[p]->path());
+          owned_spill_paths_.push_back(bw->path());
+          owned_spill_paths_.push_back(pw->path());
+          build_parts.push_back(std::move(bw));
+          probe_parts.push_back(std::move(pw));
         }
-        for (auto& [k, tuples] : table) {
-          size_t p = PartitionOf(k, level);
-          for (const auto& bt : tuples) {
-            AX_RETURN_NOT_OK(build_parts[p]->Write(bt));
+        for (uint32_t k = 0; k < table_.size(); k++) {
+          RunWriter* w = build_parts[SpillPartitionOf(table_.hash(k), level,
+                                                      kJoinPartitions)]
+                             .get();
+          for (uint32_t b = first_build_[k]; b != KeyTable::kAbsent;
+               b = next_build_[b]) {
+            AX_RETURN_NOT_OK(w->Write(build_[b]));
           }
         }
-        table.clear();
-        table_bytes = 0;
+        ReleaseTable();
+        AX_RETURN_NOT_OK(
+            build_parts[SpillPartitionOf(hash, level, kJoinPartitions)]
+                ->Write(t));
+        continue;
       }
-      if (grace) {
-        size_t p = PartitionOf(key, level);
-        AX_RETURN_NOT_OK(build_parts[p]->Write(t));
-      } else {
-        // The batch slot is ours to cannibalize: move, don't copy.
-        table_bytes += entry_bytes;
-        table[std::move(key)].push_back(std::move(t));
+      if (id == KeyTable::kAbsent) {
+        id = table_.Insert(key_, hash);
+        first_build_.push_back(KeyTable::kAbsent);
       }
+      table_bytes += entry_bytes;
+      next_build_.push_back(first_build_[id]);
+      first_build_[id] = static_cast<uint32_t>(build_.size());
+      // The batch slot is ours to cannibalize: move, don't copy.
+      build_.push_back(std::move(t));
     }
   }
-  AX_RETURN_NOT_OK(build->Close());
+  AX_RETURN_NOT_OK(CloseStream(build));
 
-  AX_RETURN_NOT_OK(probe->Open());
-  // Batched probe drain, mirroring the build side.
+  AX_RETURN_NOT_OK(OpenStream(probe));
+  if (build_parts.empty()) {
+    probe_ = probe;  // the probe streams from here, batch by batch
+    return false;
+  }
+  // Grace mode: route the whole probe input to the partitions' probe files.
   while (true) {
     if (ctx_ != nullptr) AX_RETURN_NOT_OK(ctx_->CheckAlive());
     AX_ASSIGN_OR_RETURN(bool more, probe->NextBatch(&batch));
     if (!more) break;
     for (size_t bi = 0; bi < batch.size(); bi++) {
-      Tuple& t = batch[bi];
+      const Tuple& t = batch[bi];
       bool unknown = false;
-      AX_ASSIGN_OR_RETURN(std::string key, KeyOf(t, left_keys_, &unknown));
+      AX_RETURN_NOT_OK(EvalKey(t, left_keys_, &unknown));
       if (unknown) {
+        // Never matches, but a left-outer join owes it a padded row: the
+        // probe of partition 0 emits that (its key is unknown there too).
         if (type_ == JoinType::kLeftOuter) {
-          // Last use of the slot: move the probe tuple into the padded row.
-          Tuple padded = std::move(t);
-          padded.fields.reserve(padded.arity() + right_arity_);
-          for (size_t i = 0; i < right_arity_; i++) {
-            padded.fields.push_back(adm::Value::Null());
-          }
-          AX_RETURN_NOT_OK(EmitOutput(std::move(padded)));
+          AX_RETURN_NOT_OK(probe_parts[0]->Write(t));
         }
         continue;
       }
-      if (grace) {
-        size_t p = PartitionOf(key, level);
-        AX_RETURN_NOT_OK(probe_parts[p]->Write(t));
-        continue;
-      }
-      auto it = table.find(key);
-      bool any_match = false;
-      if (it != table.end()) {
-        // Concat must copy: `t` is reused for every build match and `bt`
-        // stays in the table for later probes.
-        for (const auto& bt : it->second) {
-          Tuple joined = Tuple::Concat(t, bt);
-          if (residual_) {
-            AX_ASSIGN_OR_RETURN(adm::Value pass, residual_(joined));
-            if (!IsTrue(pass)) continue;
-          }
-          any_match = true;
-          if (type_ == JoinType::kLeftSemi) break;  // existence is enough
-          AX_RETURN_NOT_OK(EmitOutput(std::move(joined)));
-        }
-      }
-      if (type_ == JoinType::kLeftSemi && any_match) {
-        AX_RETURN_NOT_OK(EmitOutput(std::move(t)));
-      } else if (type_ == JoinType::kLeftOuter && !any_match) {
-        Tuple padded = std::move(t);
-        padded.fields.reserve(padded.arity() + right_arity_);
-        for (size_t i = 0; i < right_arity_; i++) {
-          padded.fields.push_back(adm::Value::Null());
-        }
-        AX_RETURN_NOT_OK(EmitOutput(std::move(padded)));
-      }
+      AX_RETURN_NOT_OK(probe_parts[SpillPartitionOf(HashKey(key_), level,
+                                                    kJoinPartitions)]
+                           ->Write(t));
     }
   }
-  AX_RETURN_NOT_OK(probe->Close());
-
-  if (grace) {
-    for (size_t p = 0; p < kJoinPartitions; p++) {
-      AX_RETURN_NOT_OK(build_parts[p]->Finish());
-      AX_RETURN_NOT_OK(probe_parts[p]->Finish());
-      uint64_t spilled =
-          build_parts[p]->bytes_written() + probe_parts[p]->bytes_written();
-      stats_.bytes_spilled += spilled;
-      JoinSpillBytesCounter()->Add(spilled);
-      pending_.push_back(Partition{probe_parts[p]->path(),
-                                   build_parts[p]->path(), level + 1});
-    }
+  AX_RETURN_NOT_OK(CloseStream(probe));
+  for (size_t p = 0; p < kJoinPartitions; p++) {
+    AX_RETURN_NOT_OK(build_parts[p]->Finish());
+    AX_RETURN_NOT_OK(probe_parts[p]->Finish());
+    uint64_t spilled =
+        build_parts[p]->bytes_written() + probe_parts[p]->bytes_written();
+    stats_.bytes_spilled += spilled;
+    JoinSpillBytesCounter()->Add(spilled);
+    pending_.push_back(
+        Partition{probe_parts[p]->path(), build_parts[p]->path(), level + 1});
   }
-  return Status::OK();
-}
-
-Status HashJoinOp::EmitOutput(Tuple t) {
-  if (output_writer_) {
-    return output_writer_->Write(t);
-  }
-  output_bytes_ += t.ApproxBytes();
-  output_.push_back(std::move(t));
-  if (output_bytes_ > budget_) {
-    // Results outgrew the budget: move everything to a spill file and
-    // stream from it (join output is unordered, so order is free).
-    AX_ASSIGN_OR_RETURN(output_writer_,
-                        RunWriter::Create(tmp_->NextPath("joinout")));
-    owned_spill_paths_.push_back(output_writer_->path());
-    for (const auto& buffered : output_) {
-      AX_RETURN_NOT_OK(output_writer_->Write(buffered));
-    }
-    output_.clear();
-    output_bytes_ = 0;
-  }
-  return Status::OK();
+  return true;
 }
 
 Status HashJoinOp::Open() {
-  // Grace-partitioned probe/build key evaluators: once tuples are spilled,
-  // the original key evaluators still apply (tuples keep their layout).
-  AX_RETURN_NOT_OK(JoinPair(left_.get(), right_.get(), 0));
-  while (!pending_.empty()) {
-    if (ctx_ != nullptr) AX_RETURN_NOT_OK(ctx_->CheckAlive());
-    Partition part = pending_.back();
-    pending_.pop_back();
-    AX_ASSIGN_OR_RETURN(auto probe_reader, RunReader::Open(part.left_path));
-    AX_ASSIGN_OR_RETURN(auto build_reader, RunReader::Open(part.right_path));
-    AX_RETURN_NOT_OK(JoinPair(probe_reader.get(), build_reader.get(),
-                              part.level));
+  // Partition pairs, if any, are joined later, one at a time, as the probe
+  // loop reaches them (AdvanceProbe).
+  return BuildOrPartition(left_.get(), right_.get(), 0).status();
+}
+
+Status HashJoinOp::EndProbeSource() {
+  Status st = Status::OK();
+  if (probe_ == left_.get()) st = CloseStream(left_.get());
+  probe_ = nullptr;
+  probe_reader_.reset();  // deletes the consumed partition file
+  ReleaseTable();
+  return st;
+}
+
+Result<bool> HashJoinOp::AdvanceProbe() {
+  while (true) {
+    if (in_pos_ >= in_.size()) {
+      if (probe_ == nullptr) {
+        // Between sources: join the next pending partition pair, if any.
+        if (pending_.empty()) return false;
+        if (ctx_ != nullptr) AX_RETURN_NOT_OK(ctx_->CheckAlive());
+        Partition part = pending_.back();
+        pending_.pop_back();
+        AX_ASSIGN_OR_RETURN(auto probe_reader, RunReader::Open(part.probe_path));
+        probe_reader->SetQueryContext(query_context());
+        AX_ASSIGN_OR_RETURN(auto build_reader, RunReader::Open(part.build_path));
+        AX_ASSIGN_OR_RETURN(bool partitioned,
+                            BuildOrPartition(probe_reader.get(),
+                                             build_reader.get(), part.level));
+        if (!partitioned) probe_reader_ = std::move(probe_reader);
+        continue;
+      }
+      if (ctx_ != nullptr) AX_RETURN_NOT_OK(ctx_->CheckAlive());
+      in_pos_ = 0;
+      AX_ASSIGN_OR_RETURN(bool more, probe_->NextBatch(&in_));
+      if (!more) {
+        in_.Clear();
+        AX_RETURN_NOT_OK(EndProbeSource());
+      }
+      continue;
+    }
+    const Tuple& t = in_[in_pos_];
+    bool unknown = false;
+    AX_RETURN_NOT_OK(EvalKey(t, left_keys_, &unknown));
+    if (unknown) {
+      if (type_ != JoinType::kLeftOuter) {
+        in_pos_++;  // unknown keys never match
+        continue;
+      }
+      match_ = KeyTable::kAbsent;
+    } else {
+      uint32_t id = table_.Find(key_, HashKey(key_));
+      match_ = id == KeyTable::kAbsent ? KeyTable::kAbsent : first_build_[id];
+    }
+    matched_ = false;
+    has_current_ = true;
+    return true;
   }
-  if (output_writer_) {
-    AX_RETURN_NOT_OK(output_writer_->Finish());
-    stats_.bytes_spilled += output_writer_->bytes_written();
-    JoinSpillBytesCounter()->Add(output_writer_->bytes_written());
-    AX_ASSIGN_OR_RETURN(output_reader_, RunReader::Open(output_writer_->path()));
-    output_reader_->SetQueryContext(query_context());
+}
+
+Status HashJoinOp::Probe(Batch* out) {
+  out->Clear();
+  // Each iteration emits at most one result, so the batch never overflows.
+  while (!out->full()) {
+    if (!has_current_) {
+      AX_ASSIGN_OR_RETURN(bool more, AdvanceProbe());
+      if (!more) break;
+    }
+    Tuple& t = in_[in_pos_];
+    if (match_ != KeyTable::kAbsent) {
+      AX_RETURN_NOT_OK(PollAlive());
+      const Tuple& bt = build_[match_];
+      match_ = next_build_[match_];
+      Tuple* slot = out->Add();
+      if (type_ == JoinType::kLeftSemi && !residual_) {
+        // Existence is enough, and this is the probe tuple's last use.
+        slot->fields.swap(t.fields);
+        FinishProbeTuple();
+        continue;
+      }
+      // Copy, not move: `t` pairs with every match and `bt` stays in the
+      // table for later probes.
+      slot->fields.reserve(t.arity() + bt.arity());
+      slot->fields.insert(slot->fields.end(), t.fields.begin(), t.fields.end());
+      slot->fields.insert(slot->fields.end(), bt.fields.begin(),
+                          bt.fields.end());
+      if (residual_) {
+        AX_ASSIGN_OR_RETURN(adm::Value pass, residual_(*slot));
+        if (!IsTrue(pass)) {
+          out->PopLast();
+          continue;
+        }
+      }
+      matched_ = true;
+      if (type_ == JoinType::kLeftSemi) {
+        slot->fields.resize(t.arity());  // keep the probe side only
+        FinishProbeTuple();
+      }
+      continue;
+    }
+    // Match chain exhausted.
+    if (type_ == JoinType::kLeftOuter && !matched_) {
+      Tuple* slot = out->Add();
+      slot->fields.swap(t.fields);  // last use of the probe tuple
+      slot->fields.reserve(slot->arity() + right_arity_);
+      for (size_t i = 0; i < right_arity_; i++) {
+        slot->fields.push_back(adm::Value::Null());
+      }
+    }
+    FinishProbeTuple();
   }
-  out_pos_ = 0;
   return Status::OK();
 }
 
 Result<bool> HashJoinOp::Next(Tuple* out) {
-  if (output_reader_) {
-    return output_reader_->Next(out);
+  if (staged_pos_ >= staged_.size()) {
+    if (ctx_ != nullptr) AX_RETURN_NOT_OK(ctx_->CheckAlive());
+    AX_RETURN_NOT_OK(Probe(&staged_));
+    staged_pos_ = 0;
+    if (staged_.empty()) return false;
   }
-  if (out_pos_ >= output_.size()) return false;
-  *out = std::move(output_[out_pos_++]);
+  *out = std::move(staged_[staged_pos_++]);
   return true;
 }
 
 Result<bool> HashJoinOp::NextBatch(Batch* out) {
   if (ctx_ != nullptr) AX_RETURN_NOT_OK(ctx_->CheckAlive());
-  out->Clear();
-  if (output_reader_) {
-    while (!out->full()) {
-      AX_RETURN_NOT_OK(PollAlive());
-      Tuple* slot = out->Add();
-      AX_ASSIGN_OR_RETURN(bool more, output_reader_->Next(slot));
-      if (!more) {
-        out->PopLast();
-        break;
-      }
+  if (staged_pos_ < staged_.size()) {
+    // A Next() caller left staged results: hand those out first so
+    // interleaved callers never skip tuples.
+    out->Clear();
+    while (staged_pos_ < staged_.size()) {
+      *out->Add() = std::move(staged_[staged_pos_++]);
     }
   } else {
-    while (out_pos_ < output_.size() && !out->full()) {
-      *out->Add() = std::move(output_[out_pos_++]);
-    }
+    AX_RETURN_NOT_OK(Probe(out));
   }
   if (out->empty()) return false;
   NoteBatchEmitted(out->size());
@@ -291,12 +348,21 @@ Result<bool> HashJoinOp::NextBatch(Batch* out) {
 }
 
 Status HashJoinOp::Close() {
-  output_.clear();
-  output_reader_.reset();
-  output_writer_.reset();
+  Status st = Status::OK();
+  // A consumer that stops early (LIMIT) closes the join while the probe is
+  // still open; closing it lets an exchange feeding it stop its producers.
+  if (left_open_) st = CloseStream(left_.get());
+  if (right_open_) {
+    Status rs = CloseStream(right_.get());
+    if (st.ok()) st = rs;
+  }
+  probe_ = nullptr;
+  probe_reader_.reset();
+  pending_.clear();
+  ReleaseTable();
   CleanupSpillFiles();
   grant_.Release();
-  return Status::OK();
+  return st;
 }
 
 }  // namespace asterix::hyracks

@@ -42,15 +42,6 @@ struct Tuple {
     return s;
   }
 
-  /// Concatenate two tuples (join output).
-  static Tuple Concat(const Tuple& a, const Tuple& b) {
-    Tuple out;
-    out.fields.reserve(a.arity() + b.arity());
-    out.fields.insert(out.fields.end(), a.fields.begin(), a.fields.end());
-    out.fields.insert(out.fields.end(), b.fields.begin(), b.fields.end());
-    return out;
-  }
-
   std::string ToString() const {
     std::string s = "(";
     for (size_t i = 0; i < fields.size(); i++) {
@@ -62,8 +53,8 @@ struct Tuple {
   }
 };
 
-/// Per-entry bookkeeping estimate (bucket node, key-string header, chain
-/// pointer) added by hash-table operators (join build, group-by) on top of
+/// Per-entry bookkeeping estimate (bucket slot, chain links, stored hash)
+/// added by hash-table operators (join build, group-by) on top of
 /// Tuple::ApproxBytes, so their spill triggers count memory the same way.
 constexpr size_t kHashEntryOverheadBytes = 64;
 

@@ -37,6 +37,12 @@ TEST(AdmValue, NumericCrossTypeComparison) {
 TEST(AdmValue, NumericCrossTypeHashConsistency) {
   EXPECT_EQ(Value::Int(3), Value::Double(3.0));
   EXPECT_EQ(Value::Int(3).Hash(), Value::Double(3.0).Hash());
+  // Past 2^53 an int still equals the double it converts to.
+  const int64_t big = (int64_t{1} << 60) + 1;
+  ASSERT_EQ(Value::Int(big).Compare(Value::Double(static_cast<double>(big))),
+            0);
+  EXPECT_EQ(Value::Int(big).Hash(),
+            Value::Double(static_cast<double>(big)).Hash());
   EXPECT_EQ(Value::Double(0.0).Hash(), Value::Double(-0.0).Hash());
 }
 

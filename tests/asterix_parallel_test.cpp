@@ -9,6 +9,7 @@
 
 #include "asterix/gleambook.h"
 #include "asterix/instance.h"
+#include "common/metrics.h"
 
 namespace asterix {
 namespace {
@@ -204,6 +205,159 @@ TEST_F(ErrorPathTest, IndexMaintainedThroughUpdateAndDelete) {
   r = instance_->Execute("SELECT VALUE d.id FROM D d WHERE d.v = 20");
   EXPECT_TRUE(r->rows.empty());
 }
+
+// A LIMIT above an exchange stops reading it early. The producers still
+// feeding that exchange must stop too, not block on its full queue (16
+// frames) forever. Each query runs under a deadline, so a regression fails
+// with DeadlineExceeded instead of hanging the suite.
+class EarlyCloseTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = ::testing::TempDir() + "axearly_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::filesystem::remove_all(dir_);
+    InstanceOptions opts;
+    opts.base_dir = dir_;
+    opts.num_partitions = 4;
+    instance_ = Instance::Open(opts).value();
+    ASSERT_TRUE(instance_->ExecuteScript(gleambook::Generator::Ddl(false)).ok());
+    gleambook::GeneratorOptions gen_opts;
+    gen_opts.num_users = 2000;
+    // ~6k messages per partition: well past one 4096-tuple queue.
+    gen_opts.num_messages = 24000;
+    gleambook::Generator gen(gen_opts);
+    for (const auto& u : gen.Users()) {
+      ASSERT_TRUE(instance_->UpsertValue("GleambookUsers", u).ok());
+    }
+    for (const auto& m : gen.Messages()) {
+      ASSERT_TRUE(instance_->UpsertValue("GleambookMessages", m).ok());
+    }
+  }
+  void TearDown() override {
+    instance_.reset();
+    std::filesystem::remove_all(dir_);
+  }
+  Result<QueryResult> Run(const std::string& query) {
+    QueryRunOptions run;
+    run.deadline_ms = 30'000;
+    return instance_->Query(query, run);
+  }
+  std::string dir_;
+  std::unique_ptr<Instance> instance_;
+};
+
+TEST_F(EarlyCloseTest, LimitOverScanReturns) {
+  // Each partition's local LIMIT lets 5000 rows through to the merge
+  // exchange; the final LIMIT stops after 5000 of the 20000.
+  auto r = Run("SELECT VALUE m.messageId FROM GleambookMessages m LIMIT 5000");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->rows.size(), 5000u);
+}
+
+TEST_F(EarlyCloseTest, LimitOverStreamingJoinReturns) {
+  // The probe side (messages, the left input) reaches each join partition
+  // through a hash exchange; after one result the join stops probing.
+  auto r = Run(
+      "SELECT VALUE m.messageId FROM GleambookMessages m "
+      "JOIN GleambookUsers u ON m.authorId = u.id LIMIT 1");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->rows.size(), 1u);
+}
+
+TEST_F(EarlyCloseTest, InstanceStaysUsableAfterEarlyClose) {
+  ASSERT_TRUE(Run("SELECT VALUE m FROM GleambookMessages m LIMIT 3000").ok());
+  auto r = Run("SELECT COUNT(*) AS n FROM GleambookMessages m");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->rows.size(), 1u);
+  EXPECT_EQ(r->rows[0].GetField("n").AsInt(), 24000);
+}
+
+// Join and group-by keys are equal when the values compare equal — int 1
+// and double 1.0 are one key, as they are for `=` and for DISTINCT —
+// whatever the partition count and whether the operators spill.
+struct KeyEqualityCase {
+  size_t partitions;
+  size_t op_budget;  // 0 = the default budget
+};
+
+class NumericKeyEquality : public ::testing::TestWithParam<KeyEqualityCase> {
+ protected:
+  void SetUp() override {
+    dir_ = ::testing::TempDir() + "axkeyeq_" +
+           std::to_string(GetParam().partitions) + "_" +
+           std::to_string(GetParam().op_budget);
+    std::filesystem::remove_all(dir_);
+    InstanceOptions opts;
+    opts.base_dir = dir_;
+    opts.num_partitions = GetParam().partitions;
+    if (GetParam().op_budget > 0) {
+      opts.op_memory_budget_bytes = GetParam().op_budget;
+    }
+    instance_ = Instance::Open(opts).value();
+    ASSERT_TRUE(instance_->ExecuteScript(
+        "CREATE TYPE T AS { id: int };"
+        "CREATE DATASET A(T) PRIMARY KEY id;"
+        "CREATE DATASET B(T) PRIMARY KEY id;"
+        "CREATE DATASET G(T) PRIMARY KEY id;"
+        "INSERT INTO A ({\"id\": 1, \"k\": 1});"
+        "INSERT INTO A ({\"id\": 2, \"k\": 2.0});"
+        "INSERT INTO B ({\"id\": 1, \"k\": 1.0});"
+        "INSERT INTO B ({\"id\": 2, \"k\": 2});"
+        "INSERT INTO G ({\"id\": 1, \"k\": 1});"
+        "INSERT INTO G ({\"id\": 2, \"k\": 1.0});"
+        "INSERT INTO G ({\"id\": 3, \"k\": 2});"
+        "INSERT INTO G ({\"id\": 4, \"k\": 2.0})").ok());
+  }
+  void TearDown() override {
+    instance_.reset();
+    std::filesystem::remove_all(dir_);
+  }
+  int64_t Count(const std::string& query) {
+    auto r = instance_->Execute(query);
+    EXPECT_TRUE(r.ok()) << query << ": " << r.status().ToString();
+    if (!r.ok() || r->rows.size() != 1) return -1;
+    return r->rows[0].GetField("n").AsInt();
+  }
+  std::string dir_;
+  std::unique_ptr<Instance> instance_;
+};
+
+TEST_P(NumericKeyEquality, JoinMatchesIntAgainstDouble) {
+  auto before = metrics::Registry::Global().Snapshot();
+  EXPECT_EQ(Count("SELECT COUNT(*) AS n FROM A a JOIN B b ON a.k = b.k"), 2);
+  EXPECT_EQ(Count("SELECT COUNT(*) AS n FROM A a, B b WHERE a.k = b.k"), 2);
+  auto delta = metrics::Registry::Global().Snapshot().DeltaSince(before);
+  if (GetParam().op_budget > 0) {
+    EXPECT_GT(delta.value("hyracks.join.partitions_spilled"), 0u)
+        << "the tiny budget should force the grace path";
+  }
+}
+
+TEST_P(NumericKeyEquality, GroupByMergesIntAndDouble) {
+  auto before = metrics::Registry::Global().Snapshot();
+  auto r = instance_->Execute(
+      "SELECT k, COUNT(*) AS n FROM G g GROUP BY g.k AS k");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->rows.size(), 2u);
+  for (const auto& row : r->rows) EXPECT_EQ(row.GetField("n").AsInt(), 2);
+  auto distinct = instance_->Execute("SELECT DISTINCT g.k AS k FROM G g");
+  ASSERT_TRUE(distinct.ok()) << distinct.status().ToString();
+  EXPECT_EQ(distinct->rows.size(), 2u);
+  auto delta = metrics::Registry::Global().Snapshot().DeltaSince(before);
+  if (GetParam().op_budget > 0) {
+    EXPECT_GT(delta.value("hyracks.groupby.spill_partitions"), 0u)
+        << "the tiny budget should force group-by spills";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PartitionsAndBudgets, NumericKeyEquality,
+    ::testing::Values(KeyEqualityCase{1, 0}, KeyEqualityCase{4, 0},
+                      KeyEqualityCase{1, 1}, KeyEqualityCase{4, 1}),
+    [](const ::testing::TestParamInfo<KeyEqualityCase>& info) {
+      return "p" + std::to_string(info.param.partitions) +
+             (info.param.op_budget > 0 ? "_tiny_budget" : "_default_budget");
+    });
 
 }  // namespace
 }  // namespace asterix

@@ -11,6 +11,7 @@
 #include "hyracks/operators.h"
 #include "hyracks/sort.h"
 #include "hyracks/spill.h"
+#include "resource/governor.h"
 
 namespace asterix::hyracks {
 namespace {
@@ -430,6 +431,230 @@ TEST_F(HyracksTest, GraceJoinSpillsAndMatchesInMemoryResult) {
   ASSERT_EQ(expect.size(), got.size());
   for (size_t i = 0; i < expect.size(); i += 97) {
     EXPECT_EQ(CompareTuples(expect[i], got[i]), 0) << i;
+  }
+}
+
+// ---- streaming probe -------------------------------------------------------
+
+size_t FilesIn(const std::string& dir) {
+  size_t n = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    (void)e;
+    n++;
+  }
+  return n;
+}
+
+std::vector<Tuple> SortedTuples(std::vector<Tuple> v) {
+  std::sort(v.begin(), v.end(), [](const Tuple& a, const Tuple& b) {
+    return CompareTuples(a, b) < 0;
+  });
+  return v;
+}
+
+TEST_F(HyracksTest, StreamingJoinSplitsLongMatchChainsAcrossBatches) {
+  // One build key with 3 frames' worth of matches, probed twice: the
+  // results must arrive in batches of at most kFrameTuples, exactly once.
+  const size_t chain = 3 * kFrameTuples;
+  auto make_inputs = [&](std::vector<Tuple>* left, std::vector<Tuple>* right) {
+    *left = {T({Value::Int(7), Value::String("a")}),
+             T({Value::Int(8), Value::String("none")}),
+             T({Value::Int(7), Value::String("b")})};
+    right->clear();
+    for (size_t i = 0; i < chain; i++) {
+      right->push_back(T({Value::Int(7), Value::Int(static_cast<int64_t>(i))}));
+    }
+    right->push_back(T({Value::Int(9), Value::Int(-1)}));
+  };
+  std::vector<Tuple> left, right;
+  make_inputs(&left, &right);
+  {
+    HashJoinOp op(std::make_unique<VectorSource>(left),
+                  std::make_unique<VectorSource>(right), {Field(0)},
+                  {Field(0)}, JoinType::kInner, 1 << 20, tmp_.get());
+    ASSERT_TRUE(op.Open().ok());
+    Batch batch;
+    size_t total = 0, batches = 0;
+    std::set<std::pair<std::string, int64_t>> seen;
+    while (op.NextBatch(&batch).value()) {
+      EXPECT_LE(batch.size(), kFrameTuples);
+      batches++;
+      for (size_t i = 0; i < batch.size(); i++) {
+        total++;
+        seen.emplace(batch[i].at(1).AsString(), batch[i].at(3).AsInt());
+      }
+    }
+    ASSERT_TRUE(op.Close().ok());
+    EXPECT_EQ(total, 2 * chain);
+    EXPECT_EQ(seen.size(), 2 * chain) << "a pair was emitted twice";
+    EXPECT_GE(batches, 6u);
+  }
+  make_inputs(&left, &right);
+  {
+    HashJoinOp op(std::make_unique<VectorSource>(left),
+                  std::make_unique<VectorSource>(right), {Field(0)},
+                  {Field(0)}, JoinType::kInner, 1 << 20, tmp_.get());
+    ASSERT_TRUE(op.Open().ok());
+    Tuple t;
+    size_t total = 0;
+    while (op.Next(&t).value()) {
+      EXPECT_EQ(t.arity(), 4u);
+      total++;
+    }
+    ASSERT_TRUE(op.Close().ok());
+    EXPECT_EQ(total, 2 * chain);
+  }
+  make_inputs(&left, &right);
+  {
+    // Interleaved Next/NextBatch calls neither drop nor repeat a result.
+    HashJoinOp op(std::make_unique<VectorSource>(left),
+                  std::make_unique<VectorSource>(right), {Field(0)},
+                  {Field(0)}, JoinType::kInner, 1 << 20, tmp_.get());
+    ASSERT_TRUE(op.Open().ok());
+    Tuple t;
+    Batch batch;
+    size_t total = 0;
+    for (bool more = true; more;) {
+      more = op.Next(&t).value();
+      if (more) total++;
+      if (more && op.NextBatch(&batch).value()) {
+        EXPECT_LE(batch.size(), kFrameTuples);
+        total += batch.size();
+      }
+    }
+    ASSERT_TRUE(op.Close().ok());
+    EXPECT_EQ(total, 2 * chain);
+  }
+}
+
+TEST_F(HyracksTest, StreamingLeftOuterAndSemiJoinWithResidual) {
+  // Residual: left.v < right.v over (l0, l1, r0, r1).
+  TupleEval residual = [](const Tuple& t) -> Result<Value> {
+    return Value::Boolean(t.at(1).AsNumber() < t.at(3).AsNumber());
+  };
+  auto left = [] {
+    return std::vector<Tuple>{
+        T({Value::Int(1), Value::Int(10)}),  // matches r(1,15) only
+        T({Value::Int(1), Value::Int(99)}),  // key matches, residual fails
+        T({Value::Int(2), Value::Int(0)}),   // matches both 2-rows
+        T({Value::Int(3), Value::Int(0)}),   // no key match
+        T({Value::Null(), Value::Int(0)})};  // unknown key
+  };
+  auto right = [] {
+    return std::vector<Tuple>{
+        T({Value::Int(1), Value::Int(15)}), T({Value::Int(1), Value::Int(5)}),
+        T({Value::Int(2), Value::Int(1)}), T({Value::Int(2), Value::Int(2)})};
+  };
+  HashJoinOp outer(std::make_unique<VectorSource>(left()),
+                   std::make_unique<VectorSource>(right()), {Field(0)},
+                   {Field(0)}, JoinType::kLeftOuter, 1 << 20, tmp_.get(),
+                   residual, /*right_arity_hint=*/2);
+  auto out = SortedTuples(CollectAll(&outer).value());
+  // (1,10,1,15), (2,0,2,1), (2,0,2,2) + padded (1,99), (3,0), (null,0).
+  ASSERT_EQ(out.size(), 6u);
+  size_t padded = 0;
+  for (const auto& t : out) {
+    ASSERT_EQ(t.arity(), 4u);
+    if (t.at(2).is_null()) {
+      padded++;
+      EXPECT_TRUE(t.at(3).is_null());
+    } else {
+      EXPECT_LT(t.at(1).AsInt(), t.at(3).AsInt());
+    }
+  }
+  EXPECT_EQ(padded, 3u);
+
+  HashJoinOp semi(std::make_unique<VectorSource>(left()),
+                  std::make_unique<VectorSource>(right()), {Field(0)},
+                  {Field(0)}, JoinType::kLeftSemi, 1 << 20, tmp_.get(),
+                  residual);
+  auto kept = SortedTuples(CollectAll(&semi).value());
+  // (1,10) and (2,0), each once although (2,0) passes with two rows.
+  ASSERT_EQ(kept.size(), 2u);
+  EXPECT_EQ(CompareTuples(kept[0], T({Value::Int(1), Value::Int(10)})), 0);
+  EXPECT_EQ(CompareTuples(kept[1], T({Value::Int(2), Value::Int(0)})), 0);
+}
+
+TEST_F(HyracksTest, GraceJoinAtTinyBudgetMatchesInMemory) {
+  Rng rng(5);
+  std::vector<Tuple> left, right;
+  for (int i = 0; i < 3000; i++) {
+    // Every 50th probe key is unknown: a left-outer join pads it.
+    Value k = i % 50 == 0 ? Value::Null()
+                          : Value::Int(static_cast<int64_t>(rng.Uniform(900)));
+    left.push_back(T({k, Value::Int(i)}));
+  }
+  for (int i = 0; i < 1200; i++) {
+    // Keys 0..599 twice each, as doubles half of the time: 1.0 joins 1.
+    Value k = i % 2 == 0 ? Value::Int(i / 2)
+                         : Value::Double(static_cast<double>(i / 2));
+    right.push_back(T({k, Value::String(rng.NextString(20))}));
+  }
+  TupleEval residual = [](const Tuple& t) -> Result<Value> {
+    return Value::Boolean(t.at(1).AsInt() % 3 != 0);
+  };
+  for (JoinType type :
+       {JoinType::kInner, JoinType::kLeftOuter, JoinType::kLeftSemi}) {
+    for (bool with_residual : {false, true}) {
+      SCOPED_TRACE(static_cast<int>(type) * 2 + with_residual);
+      TupleEval res = with_residual ? residual : nullptr;
+      HashJoinOp big(std::make_unique<VectorSource>(left),
+                     std::make_unique<VectorSource>(right), {Field(0)},
+                     {Field(0)}, type, 64 << 20, tmp_.get(), res, 2);
+      auto expect = SortedTuples(CollectAll(&big).value());
+      EXPECT_EQ(big.stats().partitions_spilled, 0u);
+      HashJoinOp small(std::make_unique<VectorSource>(left),
+                       std::make_unique<VectorSource>(right), {Field(0)},
+                       {Field(0)}, type, 8 << 10, tmp_.get(), res, 2);
+      auto got = SortedTuples(CollectAll(&small).value());
+      EXPECT_GT(small.stats().partitions_spilled, 0u);
+      EXPECT_GT(small.stats().bytes_spilled, 0u);
+      ASSERT_EQ(expect.size(), got.size());
+      for (size_t i = 0; i < expect.size(); i++) {
+        ASSERT_EQ(CompareTuples(expect[i], got[i]), 0) << i;
+      }
+      EXPECT_EQ(FilesIn(dir_), 0u) << "consumed partitions left behind";
+    }
+  }
+}
+
+TEST_F(HyracksTest, CancelMidProbeReleasesGrantAndSpillFiles) {
+  std::vector<Tuple> left, right;
+  Rng rng(8);
+  for (int i = 0; i < 8000; i++) {
+    left.push_back(T({Value::Int(static_cast<int64_t>(rng.Uniform(2000))),
+                      Value::String(rng.NextString(30))}));
+  }
+  for (int i = 0; i < 2000; i++) {
+    right.push_back(T({Value::Int(i), Value::String(rng.NextString(30))}));
+  }
+  for (size_t grant_bytes : {size_t{16} << 10, size_t{8} << 20}) {
+    SCOPED_TRACE(grant_bytes);
+    resource::GovernorOptions gopts;
+    gopts.pool_bytes = 64 << 20;
+    gopts.defaults.floor_bytes = 4 << 10;
+    resource::MemoryGovernor gov(gopts);
+    resource::QueryContext ctx;
+    HashJoinOp op(std::make_unique<VectorSource>(left),
+                  std::make_unique<VectorSource>(right), {Field(0)},
+                  {Field(0)}, JoinType::kInner, 1 << 30, tmp_.get());
+    op.AttachResources(&ctx, gov.Acquire(resource::OperatorKind::kJoin,
+                                         grant_bytes, &ctx)
+                                 .value());
+    EXPECT_EQ(gov.used_bytes(), grant_bytes);
+    ASSERT_TRUE(op.Open().ok());
+    // 16 KiB forces the grace path (partition files on disk); 8 MiB keeps
+    // the table in memory and streams the probe.
+    EXPECT_EQ(op.stats().partitions_spilled > 0, grant_bytes < (1 << 20));
+    Batch batch;
+    ASSERT_TRUE(op.NextBatch(&batch).value());
+    ctx.Cancel();
+    auto more = op.NextBatch(&batch);
+    ASSERT_FALSE(more.ok());
+    EXPECT_EQ(more.status().code(), StatusCode::kCancelled);
+    (void)op.Close();
+    EXPECT_EQ(gov.used_bytes(), 0u);
+    EXPECT_EQ(FilesIn(dir_), 0u);
   }
 }
 

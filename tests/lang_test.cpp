@@ -83,6 +83,11 @@ TEST(SqlppExpr, CollectionsAndObjects) {
   EXPECT_EQ(Eval("coll_count([1,2,3])").AsInt(), 3);
   EXPECT_EQ(Eval("{\"a\": 1, \"b\": 2}.b").AsInt(), 2);
   EXPECT_TRUE(Eval("{\"a\": 1}.zzz").is_missing());
+  // A field path: NULL stays NULL, any other non-object gives MISSING.
+  EXPECT_EQ(Eval("{\"a\": {\"b\": {\"c\": 3} } }.a.b.c").AsInt(), 3);
+  EXPECT_TRUE(Eval("{\"a\": null}.a.b.c").is_null());
+  EXPECT_TRUE(Eval("{\"a\": 1}.a.b").is_missing());
+  EXPECT_TRUE(Eval("{\"a\": {\"b\": 1} }.x.b").is_missing());
   // MISSING-valued fields vanish from constructed objects.
   EXPECT_FALSE(Eval("{\"a\": missing}").HasField("a"));
   EXPECT_EQ(Eval("{{1, 2, 2}}").items().size(), 3u);
@@ -219,6 +224,51 @@ TEST_F(OptimizerTest, ConstantFoldingInPlan) {
   // 1+2 folded to 3 and the index path chosen on the folded constant.
   EXPECT_NE(r.plan.find("btree-search"), std::string::npos) << r.plan;
   EXPECT_EQ(r.rows.size(), 10u);
+}
+
+// A builtin's arity is checked once, when the call is compiled: a call
+// with too few or too many arguments fails with InvalidArgument — never a
+// crash, and never a silently ignored argument — whether its arguments are
+// constants (folding leaves the bad call for the compiler to reject) or
+// read from the record.
+TEST_F(OptimizerTest, BuiltinArityCheckedWhenCompiled) {
+  struct Case {
+    const char* expr;
+    bool ok;
+  };
+  const Case cases[] = {
+      {"is_null()", false},
+      {"is_null(d.v)", true},
+      {"is_missing(d.v, d.s)", false},
+      {"string_length()", false},
+      {"string_length(d.s)", true},
+      {"string_length('a', 'b')", false},
+      {"string_length(d.s, d.s)", false},
+      {"abs()", false},
+      {"abs(d.v)", true},
+      {"coll_count()", false},
+      {"lower()", false},
+      {"lower(d.s)", true},
+      {"starts_with(d.s)", false},
+      {"substring(d.s)", false},
+      {"substring(d.s, 1)", true},
+      {"substring(d.s, 0, 1)", true},
+      {"substring(d.s, 0, 1, 2)", false},
+      {"current_datetime(1)", false},
+      {"concat(d.s, 'x', d.s)", true},
+  };
+  for (const auto& c : cases) {
+    auto r = instance_->Execute(std::string("SELECT VALUE ") + c.expr +
+                                " FROM D d WHERE d.id = 1");
+    if (c.ok) {
+      ASSERT_TRUE(r.ok()) << c.expr << ": " << r.status().ToString();
+      EXPECT_EQ(r->rows.size(), 1u) << c.expr;
+    } else {
+      ASSERT_FALSE(r.ok()) << c.expr << " was accepted";
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+          << c.expr << ": " << r.status().ToString();
+    }
+  }
 }
 
 TEST_F(OptimizerTest, SelectPushdownThroughJoin) {
