@@ -1,25 +1,25 @@
-// Tuple-at-a-time vs batch-at-a-time execution through the Hyracks
-// pipeline (ISSUE 3 acceptance bench). Runs the same scan→select→project
-// plan twice — driven by Next() and by NextBatch() — plus a mixed
-// pipeline (unmigrated operator on the default adapter) and a 1:1
-// exchange in both feed modes, and reports tuples/sec for each.
+// Batch execution through the Hyracks pipeline. Runs a
+// scan→select→project plan, the same plan with an unbounded LIMIT spliced
+// in, and a 1:1 exchange, all driven by NextBatch (the only pull
+// contract), and reports tuples/sec for each.
 //
 //   bench_batch_pipeline [--smoke] [--json <path>]
 //
-// The timed region is query execution only — Open(), the drain, Close()
-// — identically for both modes. Plan construction and destruction stay
-// outside the timer: the scan's backing store outlives the stream either
-// way, and teardown cost is a property of the storage layer, not of the
-// execution model under measurement.
+// The timed region is query execution only — Open(), the drain, Close().
+// Plan construction and destruction stay outside the timer: the scan's
+// backing store outlives the stream either way, and teardown cost is a
+// property of the storage layer, not of the execution model under
+// measurement.
 //
 // The select carries both predicate forms, exactly as the executor lowers
-// a comparison condition: the interpreted TupleEval (what Next uses) and
-// the vectorized BatchPredicate (what NextBatch uses). The drain counts
+// a comparison condition: the interpreted TupleEval and the vectorized
+// BatchPredicate (which NextBatch uses when present). The drain counts
 // rows only — result correctness is asserted via the expected cardinality
 // here and tuple-for-tuple in tests/hyracks_batch_test.cpp.
 //
-// The batch/tuple ratio on scan_select_project is the tracked number:
-// tools/bench_to_json.sh gates on it and BENCH_BASELINE.json records it.
+// The limit-spliced/plain ratio is the tracked same-run number: an
+// operator that fell back to per-tuple work would show up as a large
+// ratio. tools/bench_to_json.sh gates on it.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -82,10 +82,9 @@ hx::StreamPtr BuildPipeline(std::vector<Tuple> input) {
                                          std::vector<size_t>{1});
 }
 
-/// Same plan with an unmigrated operator (LimitOp, effectively unlimited)
-/// spliced in: NextBatch reaches it through the default adapter, proving
-/// mixed pipelines stay correct and measuring the adapter's cost.
-hx::StreamPtr BuildMixedPipeline(std::vector<Tuple> input) {
+/// Same plan with an unbounded LimitOp spliced in between select and
+/// project: a batch-native LIMIT costs one truncation check per batch.
+hx::StreamPtr BuildLimitPipeline(std::vector<Tuple> input) {
   auto scan = std::make_unique<hx::VectorSource>(std::move(input));
   auto select = std::make_unique<hx::SelectOp>(
       std::move(scan), FieldLess(0, 800), BatchFieldLess(0, 800));
@@ -94,33 +93,7 @@ hx::StreamPtr BuildMixedPipeline(std::vector<Tuple> input) {
                                          std::vector<size_t>{1});
 }
 
-/// Hides a stream's NextBatch override so pulls go through the
-/// tuple-at-a-time default adapter (the pre-batch execution mode).
-class TupleOnly : public hx::TupleStream {
- public:
-  explicit TupleOnly(hx::StreamPtr child) : child_(std::move(child)) {}
-  Status Open() override { return child_->Open(); }
-  Result<bool> Next(Tuple* out) override { return child_->Next(out); }
-  Status Close() override { return child_->Close(); }
-
- private:
-  hx::StreamPtr child_;
-};
-
 // ---- drivers ----------------------------------------------------------------
-
-Result<uint64_t> DrainViaNext(hx::TupleStream* s) {
-  uint64_t rows = 0;
-  AX_RETURN_NOT_OK(s->Open());
-  Tuple t;
-  while (true) {
-    AX_ASSIGN_OR_RETURN(bool more, s->Next(&t));
-    if (!more) break;
-    rows++;
-  }
-  AX_RETURN_NOT_OK(s->Close());
-  return rows;
-}
 
 Result<uint64_t> DrainViaNextBatch(hx::TupleStream* s) {
   uint64_t rows = 0;
@@ -148,26 +121,22 @@ double MsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-Result<RunOut> TimedDrain(hx::TupleStream* s, bool batch_mode) {
+Result<RunOut> TimedDrain(hx::TupleStream* s) {
   RunOut o;
   const auto t0 = std::chrono::steady_clock::now();
-  AX_ASSIGN_OR_RETURN(o.rows_out,
-                      batch_mode ? DrainViaNextBatch(s) : DrainViaNext(s));
+  AX_ASSIGN_OR_RETURN(o.rows_out, DrainViaNextBatch(s));
   o.ms = MsSince(t0);
   return o;
 }
 
 /// 1:1 exchange: a producer thread pulls the select pipeline and pushes
-/// frames; the caller drains the consumer stream. `batch_mode` controls
-/// both the producer feed (native NextBatch vs TupleOnly adapter) and the
-/// consumer drain (NextBatch vs Next). Timed from producer start to
-/// drain end (the producer thread is part of execution).
-Result<RunOut> RunExchange(std::vector<Tuple> input, bool batch_mode) {
+/// frames; the caller drains the consumer stream. Timed from producer
+/// start to drain end (the producer thread is part of execution).
+Result<RunOut> RunExchange(std::vector<Tuple> input) {
   hx::Exchange ex(1, 1);
   auto scan = std::make_unique<hx::VectorSource>(std::move(input));
   hx::StreamPtr upstream = std::make_unique<hx::SelectOp>(
       std::move(scan), FieldLess(0, 800), BatchFieldLess(0, 800));
-  if (!batch_mode) upstream = std::make_unique<TupleOnly>(std::move(upstream));
   hx::StreamPtr consumer = ex.ConsumerStream(0);
 
   RunOut o;
@@ -176,8 +145,7 @@ Result<RunOut> RunExchange(std::vector<Tuple> input, bool batch_mode) {
   std::thread producer([&] {
     producer_status = ex.RunProducer(upstream.get(), hx::Exchange::SingleRoute());
   });
-  Result<uint64_t> rows = batch_mode ? DrainViaNextBatch(consumer.get())
-                                     : DrainViaNext(consumer.get());
+  Result<uint64_t> rows = DrainViaNextBatch(consumer.get());
   producer.join();
   o.ms = MsSince(t0);
   AX_RETURN_NOT_OK(producer_status);
@@ -235,43 +203,32 @@ int main(int argc, char** argv) {
   const std::vector<Tuple> master = MakeInput(n);
 
   std::vector<Scenario> scenarios;
-  scenarios.push_back({"scan_select_project_tuple", expect,
-                       [](std::vector<Tuple> in) {
-                         auto p = BuildPipeline(std::move(in));
-                         return TimedDrain(p.get(), /*batch_mode=*/false);
-                       }});
   scenarios.push_back({"scan_select_project_batch", expect,
                        [](std::vector<Tuple> in) {
                          auto p = BuildPipeline(std::move(in));
-                         return TimedDrain(p.get(), /*batch_mode=*/true);
+                         return TimedDrain(p.get());
                        }});
-  scenarios.push_back({"mixed_adapter_batch", expect,
+  scenarios.push_back({"scan_select_limit_project_batch", expect,
                        [](std::vector<Tuple> in) {
-                         auto p = BuildMixedPipeline(std::move(in));
-                         return TimedDrain(p.get(), /*batch_mode=*/true);
-                       }});
-  scenarios.push_back({"exchange_1to1_tuple", expect,
-                       [](std::vector<Tuple> in) {
-                         return RunExchange(std::move(in), false);
+                         auto p = BuildLimitPipeline(std::move(in));
+                         return TimedDrain(p.get());
                        }});
   scenarios.push_back({"exchange_1to1_batch", expect,
                        [](std::vector<Tuple> in) {
-                         return RunExchange(std::move(in), true);
+                         return RunExchange(std::move(in));
                        }});
   RunAll(&scenarios, master, reps);
 
   axbench::JsonReport report("bench_batch_pipeline");
-  std::printf("%-28s %10s %14s\n", "scenario", "ms", "tuples/sec");
+  std::printf("%-32s %10s %14s\n", "scenario", "ms", "tuples/sec");
   for (const auto& s : scenarios) {
     report.Add(s.name, n, s.best_ms);
-    std::printf("%-28s %10.2f %14.0f\n", s.name, s.best_ms,
+    std::printf("%-32s %10.2f %14.0f\n", s.name, s.best_ms,
                 axbench::TuplesPerSec(n, s.best_ms));
   }
 
-  const double speedup = scenarios[0].best_ms / scenarios[1].best_ms;
-  const double ex_speedup = scenarios[3].best_ms / scenarios[4].best_ms;
-  std::printf("\nscan_select_project batch speedup: %.2fx\n", speedup);
-  std::printf("exchange_1to1 batch speedup:       %.2fx\n", ex_speedup);
+  std::printf("\nlimit-spliced / plain pipeline time: %.2fx\n",
+              scenarios[1].best_ms / scenarios[0].best_ms);
 
   if (!json_path.empty() && !report.WriteTo(json_path)) return 1;
   return 0;

@@ -114,7 +114,7 @@ double RunFeed(const std::string& dir, size_t n, FeedPolicy policy,
   adapter->CloseChannel();
   FeedRuntimeOptions o;
   o.feed_name = "bench";
-  o.dataset = "D";
+  o.dataset = std::string("D");
   o.policy = policy;
   o.parse.format = ParseSpec::Format::kParsed;
   o.faults = faults;

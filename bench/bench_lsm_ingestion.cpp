@@ -98,7 +98,7 @@ IngestRun RunIngest(const std::string& dir, const std::vector<int64_t>& order,
   for (int t = 0; t < kAbTrees; t++) {
     LsmOptions o;
     o.dir = dir;
-    o.name = "p" + std::to_string(t);
+    o.name = std::string("p").append(std::to_string(t));
     o.cache = &cache;
     o.mem_budget_bytes = 64u << 10;
     o.merge_policy = {MergePolicyKind::kNoMerge, 0, 0};

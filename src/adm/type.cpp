@@ -128,8 +128,11 @@ std::string Type::ToString() const {
       return "any";
     case TypeKind::kPrimitive:
       return name_;
-    case TypeKind::kArray:
-      return "[" + (item_ ? item_->ToString() : std::string("any")) + "]";
+    case TypeKind::kArray: {
+      std::string out = "[";
+      out.append(item_ ? item_->ToString() : std::string("any")).append("]");
+      return out;
+    }
     case TypeKind::kMultiset:
       return "{{" + (item_ ? item_->ToString() : std::string("any")) + "}}";
     case TypeKind::kObject: {

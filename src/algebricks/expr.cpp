@@ -46,8 +46,11 @@ std::string Expr::ToString() const {
   switch (kind) {
     case ExprKind::kConstant:
       return constant.ToString();
-    case ExprKind::kVariable:
-      return "$" + std::to_string(var);
+    case ExprKind::kVariable: {
+      std::string s = "$";
+      s.append(std::to_string(var));
+      return s;
+    }
     case ExprKind::kCall: {
       std::string s = fn + "(";
       for (size_t i = 0; i < args.size(); i++) {

@@ -95,7 +95,7 @@ std::string Generator::MakeAccessLogLine(int64_t seq) {
   // Second-resolution ISO timestamp (the Fig. 3(b) log format).
   line += adm::temporal::FormatDatetime(ts / 1000 * 1000);
   line.erase(line.size() - 5);  // strip ".000Z" -> parseable, compact
-  line += "|" + AliasOf(user);
+  line.append("|").append(AliasOf(user));
   line += rng_.Uniform(10) == 0 ? "|POST|/msg/new|201|" : "|GET|/feed|200|";
   line += std::to_string(128 + rng_.Uniform(8192));
   (void)seq;

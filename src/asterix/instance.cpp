@@ -171,7 +171,7 @@ Status Instance::RegisterQuery(const std::string& wanted_id,
                                std::string* out_id) {
   std::lock_guard<std::mutex> lock(queries_mu_);
   std::string id = wanted_id;
-  if (id.empty()) id = "q" + std::to_string(next_query_id_++);
+  if (id.empty()) id.append("q").append(std::to_string(next_query_id_++));
   auto [it, inserted] = queries_.emplace(id, std::move(ctx));
   if (!inserted) {
     return Status::AlreadyExists("query id '" + id + "' is already active");

@@ -442,14 +442,16 @@ Status FeedRuntime::DrainSpill(bool blocking) {
                                    /*delete_on_close=*/true));
       spill_segments_.pop_front();
     }
-    for (size_t i = spill_pending_.size(); i < kFrameTuples; i++) {
-      hyracks::Tuple t;
-      AX_ASSIGN_OR_RETURN(bool have, spill_reader_->Next(&t));
-      if (!have) {
-        spill_reader_.reset();
-        break;
-      }
-      spill_pending_.push_back(std::move(t));
+    // spill_pending_ is empty here (step 1 shipped it), and a batch holds
+    // exactly one frame's worth of tuples.
+    hyracks::Batch batch;
+    AX_ASSIGN_OR_RETURN(bool have, spill_reader_->NextBatch(&batch));
+    if (!have) {
+      spill_reader_.reset();
+      continue;
+    }
+    for (size_t i = 0; i < batch.size(); i++) {
+      spill_pending_.push_back(std::move(batch[i]));
     }
   }
 }

@@ -52,8 +52,8 @@ class Batch {
     return t;
   }
 
-  /// Drop the most recently added slot (used when a Next() probe into a
-  /// fresh slot hits end-of-stream).
+  /// Drop the most recently added slot (a read into a fresh slot hit
+  /// end-of-stream, or a join result failed its residual).
   void PopLast() {
     if (size_ > 0) size_--;
   }
@@ -88,11 +88,10 @@ class Batch {
   size_t size_ = 0;
 };
 
-/// hyracks.batch.* counters. NoteBatchEmitted is called by every migrated
-/// NextBatch override per non-empty batch (one boundary hand-off each);
-/// NoteFallbackBatch by the default tuple-at-a-time adapter instead.
+/// hyracks.batch.* counters. Every NextBatch that produces a non-empty
+/// batch calls NoteBatchEmitted once (one boundary hand-off each); pure
+/// pass-throughs (union-all, profiling wrappers) do not count again.
 /// Average batch fill = hyracks.batch.tuples / hyracks.batch.batches_emitted.
 void NoteBatchEmitted(size_t tuples);
-void NoteFallbackBatch(size_t tuples);
 
 }  // namespace asterix::hyracks

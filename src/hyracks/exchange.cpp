@@ -205,9 +205,8 @@ Exchange::Exchange(size_t n_producers, size_t n_consumers,
 }
 
 namespace {
-/// Consumer-side stream over one queue. Next() unpacks frames tuple by
-/// tuple; NextBatch() hands a popped frame straight out as a batch (one
-/// vector swap, zero per-tuple work).
+/// Consumer-side stream over one queue. NextBatch hands a popped frame
+/// straight out as a batch (one vector swap, zero per-tuple work).
 class QueueStream : public TupleStream {
  public:
   explicit QueueStream(std::shared_ptr<BoundedTupleQueue> q)
@@ -216,37 +215,17 @@ class QueueStream : public TupleStream {
   /// either.
   ~QueueStream() override { q_->CloseConsumer(); }
   Status Open() override { return Status::OK(); }
-  Result<bool> Next(Tuple* out) override {
-    while (pos_ >= frame_.size()) {
-      frame_.clear();
-      pos_ = 0;
-      AX_ASSIGN_OR_RETURN(bool more, q_->PopFrame(&frame_));
-      if (!more) return false;
-    }
-    *out = std::move(frame_[pos_++]);
-    return true;
-  }
   Result<bool> NextBatch(Batch* out) override {
     out->Clear();
-    if (pos_ < frame_.size()) {
-      // A Next() caller left a partially drained frame: finish it first so
-      // interleaved callers never skip tuples.
-      while (pos_ < frame_.size() && !out->full()) {
-        *out->Add() = std::move(frame_[pos_++]);
-      }
-      NoteBatchEmitted(out->size());
-      return true;
-    }
+    // frame_ holds the batch's previous slot vector (swapped out by the
+    // last call). Destroy its tuples here, outside the queue lock; PopFrame
+    // then parks the storage on the queue's free list.
     frame_.clear();
-    pos_ = 0;
-    // PopFrame parks frame_'s old storage on the queue's free list.
     AX_ASSIGN_OR_RETURN(bool more, q_->PopFrame(&frame_));
     if (!more) return false;
     // Swap the whole frame into the batch; the batch's previous slot
-    // vector lands in frame_, marked fully consumed, and is recycled by
-    // the next PopFrame.
+    // vector lands in frame_ and is recycled by the next PopFrame.
     out->SwapVector(&frame_);
-    pos_ = frame_.size();
     NoteBatchEmitted(out->size());
     return true;
   }
@@ -261,7 +240,6 @@ class QueueStream : public TupleStream {
  private:
   std::shared_ptr<BoundedTupleQueue> q_;
   Frame frame_;
-  size_t pos_ = 0;
 };
 }  // namespace
 
@@ -299,9 +277,8 @@ Status Exchange::RunProducer(TupleStream* upstream, const RoutingFn& route) {
   };
   Status st = upstream->Open();
   if (!st.ok()) return fail(st);
-  // Pull batch-at-a-time and route each batch in one tight pass: the
-  // virtual-call + Result overhead and the routing-lambda indirection are
-  // paid per batch boundary, not per tuple-by-tuple Next chain.
+  // Route each pulled batch in one tight pass: the virtual-call + Result
+  // overhead is paid per batch boundary, not per tuple.
   auto all_consumers_closed = [&] {
     for (auto& q : queues_) {
       if (!q->consumer_closed()) return false;

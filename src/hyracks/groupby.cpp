@@ -61,7 +61,7 @@ size_t HashGroupByOp::PartialArity(AggKind kind) {
   return kind == AggKind::kAvg ? 2 : 1;
 }
 
-void HashGroupByOp::InitState(adm::Value* p) const {
+void HashGroupByOp::InitState(adm::Value* p) {
   for (const auto& spec : aggs_) {
     switch (spec.kind) {
       case AggKind::kCount: p[0] = adm::Value::Int(0); break;
@@ -72,7 +72,10 @@ void HashGroupByOp::InitState(adm::Value* p) const {
         p[0] = adm::Value::Null();
         p[1] = adm::Value::Int(0);
         break;
-      case AggKind::kCollect: p[0] = adm::Value::Array({}); break;
+      case AggKind::kCollect:
+        p[0] = adm::Value::Int(static_cast<int64_t>(collected_.size()));
+        collected_.emplace_back();
+        break;
     }
     p += PartialArity(spec.kind);
   }
@@ -117,9 +120,8 @@ Status HashGroupByOp::AccumulateRaw(adm::Value* p, const Tuple& t,
           // Collected arrays are the one aggregate whose state grows with
           // input; charge the growth so the spill trigger sees it.
           *grown += arg.ByteSize();
-          std::vector<adm::Value> items = p[0].items();
-          items.push_back(std::move(arg));
-          p[0] = adm::Value::Array(std::move(items));
+          collected_[static_cast<size_t>(p[0].AsInt())].push_back(
+              std::move(arg));
         }
         break;
     }
@@ -154,16 +156,15 @@ Status HashGroupByOp::MergePartial(adm::Value* p, const Tuple& t,
         p[1] = AddNumbers(p[1], t.at(pos + 1));
         break;
       case AggKind::kCollect: {
-        std::vector<adm::Value> items = p[0].items();
         const auto& incoming = t.at(pos);
         if (incoming.is_collection()) {
           // Merged-in partial arrays grow the state; charge them like
           // AccumulateRaw does.
           for (const auto& v : incoming.items()) *grown += v.ByteSize();
+          auto& items = collected_[static_cast<size_t>(p[0].AsInt())];
           items.insert(items.end(), incoming.items().begin(),
                        incoming.items().end());
         }
-        p[0] = adm::Value::Array(std::move(items));
         break;
       }
     }
@@ -179,19 +180,35 @@ Status HashGroupByOp::Fold(adm::Value* state, const Tuple& t,
                           : AccumulateRaw(state, t, grown);
 }
 
+void HashGroupByOp::AppendPartialState(adm::Value* p,
+                                       std::vector<adm::Value>* fields) {
+  for (const AggSpec& spec : aggs_) {
+    if (spec.kind == AggKind::kCollect) {
+      fields->push_back(adm::Value::Array(
+          std::move(collected_[static_cast<size_t>(p[0].AsInt())])));
+    } else {
+      for (size_t i = 0; i < PartialArity(spec.kind); i++) {
+        fields->push_back(std::move(p[i]));
+      }
+    }
+    p += PartialArity(spec.kind);
+  }
+}
+
 void HashGroupByOp::EmitGroup(std::span<adm::Value> key, adm::Value* p,
-                              Tuple* out) const {
+                              Tuple* out) {
   out->fields.clear();
   out->fields.reserve(key.size() + state_arity_);
   for (auto& v : key) out->fields.push_back(std::move(v));
   if (phase_ == AggPhase::kPartial) {
-    for (size_t i = 0; i < state_arity_; i++) {
-      out->fields.push_back(std::move(p[i]));
-    }
+    AppendPartialState(p, &out->fields);
     return;
   }
   for (const AggSpec& spec : aggs_) {
-    if (spec.kind != AggKind::kAvg) {
+    if (spec.kind == AggKind::kCollect) {
+      out->fields.push_back(adm::Value::Array(
+          std::move(collected_[static_cast<size_t>(p[0].AsInt())])));
+    } else if (spec.kind != AggKind::kAvg) {
       out->fields.push_back(std::move(p[0]));
     } else if (p[0].is_unknown() || p[1].AsInt() == 0) {
       out->fields.push_back(adm::Value::Null());
@@ -244,13 +261,15 @@ Status HashGroupByOp::ProcessTuple(
     if (table_bytes_ > budget_) {
       // Overflow: spill this tuple as a partial row (key ++ state) to the
       // partition of its key hash.
+      const size_t collected_mark = collected_.size();
       spill_.resize(state_arity_);
       InitState(spill_.data());
       AX_RETURN_NOT_OK(Fold(spill_.data(), t, input_is_partial, &grown));
       Tuple row;
       row.fields.reserve(key_arity + state_arity_);
       for (auto& v : key_) row.fields.push_back(std::move(v));
-      for (auto& v : spill_) row.fields.push_back(std::move(v));
+      AppendPartialState(spill_.data(), &row.fields);
+      collected_.resize(collected_mark);  // drop the spilled row's lists
       size_t part = SpillPartitionOf(hash, level, kSpillPartitions);
       if (spills->empty()) spills->resize(kSpillPartitions);
       if (!(*spills)[part]) {
@@ -287,6 +306,7 @@ void HashGroupByOp::DrainTableToOutput() {
   }
   table_.Clear();
   std::vector<adm::Value>().swap(states_);
+  std::vector<std::vector<adm::Value>>().swap(collected_);
   table_bytes_ = 0;
 }
 Status HashGroupByOp::Open() {
@@ -338,12 +358,6 @@ Status HashGroupByOp::Open() {
   return Status::OK();
 }
 
-Result<bool> HashGroupByOp::Next(Tuple* out) {
-  if (out_pos_ >= output_.size()) return false;
-  *out = std::move(output_[out_pos_++]);
-  return true;
-}
-
 Result<bool> HashGroupByOp::NextBatch(Batch* out) {
   if (ctx_ != nullptr) AX_RETURN_NOT_OK(ctx_->CheckAlive());
   out->Clear();
@@ -357,6 +371,7 @@ Result<bool> HashGroupByOp::NextBatch(Batch* out) {
 
 Status HashGroupByOp::Close() {
   output_.clear();
+  collected_.clear();
   CleanupSpillFiles();
   grant_.Release();
   return Status::OK();

@@ -54,7 +54,6 @@ class HashGroupByOp : public TupleStream {
   }
 
   Status Open() override;
-  Result<bool> Next(Tuple* out) override;
   /// Emits buffered group results batch-at-a-time.
   Result<bool> NextBatch(Batch* out) override;
   Status Close() override;
@@ -74,10 +73,13 @@ class HashGroupByOp : public TupleStream {
               size_t* grown);
   /// Number of state fields each aggregate contributes in partial form.
   static size_t PartialArity(AggKind kind);
-  void InitState(adm::Value* state) const;
+  /// Reset one group's state; each kCollect slot gets a fresh list.
+  void InitState(adm::Value* state);
+  /// Move one group's state into `fields` in partial form (kCollect lists
+  /// become arrays).
+  void AppendPartialState(adm::Value* state, std::vector<adm::Value>* fields);
   /// Consumes a group: key and aggregate values move into `out`.
-  void EmitGroup(std::span<adm::Value> key, adm::Value* state,
-                 Tuple* out) const;
+  void EmitGroup(std::span<adm::Value> key, adm::Value* state, Tuple* out);
 
   Status ProcessStream(TupleStream* input, bool input_is_partial, int level,
                        std::vector<std::unique_ptr<RunWriter>>* spills);
@@ -105,6 +107,10 @@ class HashGroupByOp : public TupleStream {
   KeyTable table_;
   size_t state_arity_;              // sum of PartialArity over aggs_
   std::vector<adm::Value> states_;  // state_arity_ values per group id
+  /// kCollect items. The state slot holds an index into this, so an
+  /// append is amortised O(1); adm::Value arrays are immutable, and
+  /// rebuilding one per item made collecting a group quadratic.
+  std::vector<std::vector<adm::Value>> collected_;
   size_t table_bytes_ = 0;
   std::vector<adm::Value> key_;    // the current input tuple's key (scratch)
   std::vector<adm::Value> spill_;  // one spilled tuple's state (scratch)

@@ -319,29 +319,9 @@ Status HashJoinOp::Probe(Batch* out) {
   return Status::OK();
 }
 
-Result<bool> HashJoinOp::Next(Tuple* out) {
-  if (staged_pos_ >= staged_.size()) {
-    if (ctx_ != nullptr) AX_RETURN_NOT_OK(ctx_->CheckAlive());
-    AX_RETURN_NOT_OK(Probe(&staged_));
-    staged_pos_ = 0;
-    if (staged_.empty()) return false;
-  }
-  *out = std::move(staged_[staged_pos_++]);
-  return true;
-}
-
 Result<bool> HashJoinOp::NextBatch(Batch* out) {
   if (ctx_ != nullptr) AX_RETURN_NOT_OK(ctx_->CheckAlive());
-  if (staged_pos_ < staged_.size()) {
-    // A Next() caller left staged results: hand those out first so
-    // interleaved callers never skip tuples.
-    out->Clear();
-    while (staged_pos_ < staged_.size()) {
-      *out->Add() = std::move(staged_[staged_pos_++]);
-    }
-  } else {
-    AX_RETURN_NOT_OK(Probe(out));
-  }
+  AX_RETURN_NOT_OK(Probe(out));
   if (out->empty()) return false;
   NoteBatchEmitted(out->size());
   return true;

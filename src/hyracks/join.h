@@ -55,7 +55,6 @@ class HashJoinOp : public TupleStream {
   /// grace-partitioned to files; NextBatch then joins the partition pairs
   /// one at a time through the same probe loop.
   Status Open() override;
-  Result<bool> Next(Tuple* out) override;
   /// Probes probe batches until `out` holds kFrameTuples results or the
   /// input ends; a probe tuple with more matches than fit continues in the
   /// next call from a cursor on its match chain.
@@ -133,8 +132,6 @@ class HashJoinOp : public TupleStream {
   bool has_current_ = false;
   uint32_t match_ = KeyTable::kAbsent;
   bool matched_ = false;  // the current probe tuple has produced a result
-  Batch staged_;          // Next()'s results not yet handed out
-  size_t staged_pos_ = 0;
 };
 
 }  // namespace asterix::hyracks

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <memory>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -22,7 +21,6 @@ class OrderedMergeStream : public TupleStream {
       : children_(std::move(children)), keys_(std::move(keys)) {}
 
   Status Open() override;
-  Result<bool> Next(Tuple* out) override;
   /// Pops up to a frame's worth of merged tuples per call (the heap logic
   /// runs inline, so no per-tuple virtual dispatch downstream).
   Result<bool> NextBatch(Batch* out) override;
@@ -30,18 +28,17 @@ class OrderedMergeStream : public TupleStream {
 
  private:
   Result<int> Compare(const Tuple& a, const Tuple& b) const;
+  /// Advance child `child`'s cursor and file it among the heads.
   Status PushFrom(size_t child);
 
   std::vector<StreamPtr> children_;
   std::vector<SortKey> keys_;
-  struct Head {
-    Tuple tuple;
-    size_t src;
-  };
-  // Sorted heads, maintained as a vector-based heap via explicit compares
-  // (comparators can fail, so std::priority_queue's noexcept-ish comparator
-  // contract doesn't fit; linear insertion is fine for small fan-in).
-  std::vector<Head> heads_;
+  std::vector<BatchCursor> cursors_;  // one per child, pulled batch-wise
+  // Children whose cursor holds a current tuple, kept sorted descending by
+  // that tuple via explicit compares (comparators can fail, so
+  // std::priority_queue's noexcept-ish comparator contract doesn't fit;
+  // linear insertion is fine for small fan-in).
+  std::vector<size_t> heads_;
 };
 
 }  // namespace asterix::hyracks

@@ -1,10 +1,9 @@
 // Streaming (pipelined) Hyracks operators: select, assign, project, limit,
 // unnest, union-all, and stream-distinct. Blocking operators live in
-// sort.h / join.h / groupby.h. Select/assign/project are migrated to the
-// batch path (NextBatch overrides transform whole batches in place);
-// limit/unnest/distinct stay tuple-at-a-time behind the default adapter
-// — their per-tuple control flow dominates, and they double as the proof
-// that mixed pipelines work.
+// sort.h / join.h / groupby.h. Each transforms whole batches: select,
+// limit and distinct compact the child's batch in place, assign and
+// project rewrite its tuples in place, and unnest refills its own output
+// batch from a cursor over the input batch.
 #pragma once
 
 #include <memory>
@@ -29,13 +28,12 @@ class SelectOp : public TupleStream {
  public:
   /// `batch_predicate` is optional: when present, NextBatch evaluates the
   /// whole batch with it; otherwise it interprets `predicate` per tuple.
-  /// Next always uses `predicate` — the two must agree tuple-for-tuple.
+  /// The two must agree tuple-for-tuple.
   SelectOp(StreamPtr child, TupleEval predicate,
            BatchPredicate batch_predicate = nullptr)
       : child_(std::move(child)), predicate_(std::move(predicate)),
         batch_predicate_(std::move(batch_predicate)) {}
   Status Open() override { return child_->Open(); }
-  Result<bool> Next(Tuple* out) override;
   /// Filters the child's batch in place (stable compaction by move).
   Result<bool> NextBatch(Batch* out) override;
   Status Close() override { return child_->Close(); }
@@ -53,7 +51,6 @@ class AssignOp : public TupleStream {
   AssignOp(StreamPtr child, std::vector<TupleEval> evals)
       : child_(std::move(child)), evals_(std::move(evals)) {}
   Status Open() override { return child_->Open(); }
-  Result<bool> Next(Tuple* out) override;
   /// Appends the computed fields to every tuple of the child's batch.
   Result<bool> NextBatch(Batch* out) override;
   Status Close() override { return child_->Close(); }
@@ -79,7 +76,6 @@ class ProjectOp : public TupleStream {
     }
   }
   Status Open() override { return child_->Open(); }
-  Result<bool> Next(Tuple* out) override;
   /// Projects every tuple of the child's batch in place. Strictly
   /// increasing keep lists (the common compiler output) shift fields
   /// within the tuple's own vector; reordering/duplicating lists cycle a
@@ -105,16 +101,19 @@ class LimitOp : public TupleStream {
   LimitOp(StreamPtr child, uint64_t limit, uint64_t offset = 0)
       : child_(std::move(child)), limit_(limit), offset_(offset) {}
   Status Open() override {
-    seen_ = emitted_ = 0;
+    skipped_ = emitted_ = 0;
     return child_->Open();
   }
-  Result<bool> Next(Tuple* out) override;
+  /// Drops the offset (which may span several child batches), then
+  /// truncates the child's batch in place to what the limit still allows.
+  /// Stops pulling once the limit is reached.
+  Result<bool> NextBatch(Batch* out) override;
   Status Close() override { return child_->Close(); }
 
  private:
   StreamPtr child_;
   uint64_t limit_, offset_;
-  uint64_t seen_ = 0, emitted_ = 0;
+  uint64_t skipped_ = 0, emitted_ = 0;
 };
 
 /// Unnest: for each input tuple, evaluates a collection expression and
@@ -126,17 +125,26 @@ class UnnestOp : public TupleStream {
       : child_(std::move(child)), collection_(std::move(collection)),
         outer_(outer) {}
   Status Open() override {
-    pending_.clear();
+    in_.Clear();
+    in_pos_ = item_ = n_items_ = 0;
     return child_->Open();
   }
-  Result<bool> Next(Tuple* out) override;
+  /// Fills up to kFrameTuples outputs per call. A cursor over the input
+  /// batch and over the current input's items lets one long collection
+  /// continue in the next call.
+  Result<bool> NextBatch(Batch* out) override;
   Status Close() override { return child_->Close(); }
 
  private:
   StreamPtr child_;
   TupleEval collection_;
   bool outer_;
-  std::vector<Tuple> pending_;  // queued expansion of the current input
+  // in_[in_pos_] is the input being expanded while item_ < n_items_;
+  // coll_ holds its evaluated collection.
+  Batch in_;
+  size_t in_pos_ = 0;
+  adm::Value coll_;
+  size_t item_ = 0, n_items_ = 0;
 };
 
 /// Union-all over same-arity children, streamed in order.
@@ -145,7 +153,6 @@ class UnionAllOp : public TupleStream {
   explicit UnionAllOp(std::vector<StreamPtr> children)
       : children_(std::move(children)) {}
   Status Open() override;
-  Result<bool> Next(Tuple* out) override;
   /// Pure pass-through: forwards the current child's batches unchanged
   /// (and records no batch metrics of its own).
   Result<bool> NextBatch(Batch* out) override;
@@ -164,7 +171,9 @@ class StreamDistinctOp : public TupleStream {
     has_prev_ = false;
     return child_->Open();
   }
-  Result<bool> Next(Tuple* out) override;
+  /// Compacts the child's batch in place, keeping each tuple that differs
+  /// from the last one kept (prev_ carries it across batches).
+  Result<bool> NextBatch(Batch* out) override;
   Status Close() override { return child_->Close(); }
 
  private:

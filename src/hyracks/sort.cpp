@@ -140,25 +140,24 @@ Status ExternalSortOp::Open() {
 
 Result<std::string> ExternalSortOp::MergeRuns(
     const std::vector<std::string>& paths) {
-  struct Head {
-    Tuple tuple;
-    size_t src;
-  };
   std::vector<std::unique_ptr<RunReader>> readers;
+  std::vector<BatchCursor> cursors;
   for (const auto& p : paths) {
     AX_ASSIGN_OR_RETURN(auto r, RunReader::Open(p));
+    cursors.emplace_back(r.get());
     readers.push_back(std::move(r));
   }
-  auto cmp = [this](const Head& a, const Head& b) {
-    int c = CompareAugmented(a.tuple, b.tuple);
+  // The heap holds run indices; each run's current tuple stays in its
+  // cursor's batch slot, so no tuple is copied on its way to the writer.
+  auto cmp = [this, &cursors](size_t a, size_t b) {
+    int c = CompareAugmented(cursors[a].tuple(), cursors[b].tuple());
     if (c != 0) return c > 0;  // min-heap
-    return a.src > b.src;      // stable tiebreak
+    return a > b;              // stable tiebreak
   };
-  std::priority_queue<Head, std::vector<Head>, decltype(cmp)> heap(cmp);
-  for (size_t i = 0; i < readers.size(); i++) {
-    Tuple t;
-    AX_ASSIGN_OR_RETURN(bool more, readers[i]->Next(&t));
-    if (more) heap.push(Head{std::move(t), i});
+  std::priority_queue<size_t, std::vector<size_t>, decltype(cmp)> heap(cmp);
+  for (size_t i = 0; i < cursors.size(); i++) {
+    AX_ASSIGN_OR_RETURN(bool more, cursors[i].Advance());
+    if (more) heap.push(i);
   }
   AX_ASSIGN_OR_RETURN(auto writer, RunWriter::Create(tmp_->NextPath("sortmerge")));
   owned_spill_paths_.push_back(writer->path());
@@ -170,12 +169,11 @@ Result<std::string> ExternalSortOp::MergeRuns(
     if (ctx_ != nullptr && merged_tuples++ % kFrameTuples == 0) {
       AX_RETURN_NOT_OK(ctx_->CheckAlive());
     }
-    Head h = heap.top();
+    const size_t src = heap.top();
     heap.pop();
-    AX_RETURN_NOT_OK(writer->Write(h.tuple));
-    Tuple t;
-    AX_ASSIGN_OR_RETURN(bool more, readers[h.src]->Next(&t));
-    if (more) heap.push(Head{std::move(t), h.src});
+    AX_RETURN_NOT_OK(writer->Write(cursors[src].tuple()));
+    AX_ASSIGN_OR_RETURN(bool more, cursors[src].Advance());
+    if (more) heap.push(src);
   }
   AX_RETURN_NOT_OK(writer->Finish());
   stats_.bytes_spilled += writer->bytes_written();
@@ -183,36 +181,22 @@ Result<std::string> ExternalSortOp::MergeRuns(
   return writer->path();
 }
 
-Result<bool> ExternalSortOp::Next(Tuple* out) {
-  Tuple aug;
-  if (merged_) {
-    AX_ASSIGN_OR_RETURN(bool more, merged_->Next(&aug));
-    if (!more) return false;
-  } else {
-    if (mem_pos_ >= memory_.size()) return false;
-    aug = std::move(memory_[mem_pos_++]);
-  }
-  StripPrefix(&aug, out);
-  return true;
-}
-
 Result<bool> ExternalSortOp::NextBatch(Batch* out) {
   if (ctx_ != nullptr) AX_RETURN_NOT_OK(ctx_->CheckAlive());
-  out->Clear();
   if (merged_) {
-    Tuple aug;
-    while (!out->full()) {
-      AX_RETURN_NOT_OK(PollAlive());
-      AX_ASSIGN_OR_RETURN(bool more, merged_->Next(&aug));
-      if (!more) break;
-      StripPrefix(&aug, out->Add());
+    AX_ASSIGN_OR_RETURN(bool more, merged_->NextBatch(out));
+    if (!more) return false;
+    for (size_t i = 0; i < out->size(); i++) {
+      auto& f = (*out)[i].fields;
+      f.erase(f.begin(), f.begin() + static_cast<ptrdiff_t>(keys_.size()));
     }
   } else {
+    out->Clear();
     while (mem_pos_ < memory_.size() && !out->full()) {
       StripPrefix(&memory_[mem_pos_++], out->Add());
     }
+    if (out->empty()) return false;
   }
-  if (out->empty()) return false;
   NoteBatchEmitted(out->size());
   return true;
 }

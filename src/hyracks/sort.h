@@ -48,9 +48,8 @@ class ExternalSortOp : public TupleStream {
   }
 
   Status Open() override;
-  Result<bool> Next(Tuple* out) override;
   /// Emits sorted output batch-at-a-time straight from the in-memory array
-  /// (or the merged run reader), skipping the per-tuple Next chain.
+  /// (or a batch of the merged run, with the key prefix stripped in place).
   Result<bool> NextBatch(Batch* out) override;
   Status Close() override;
 

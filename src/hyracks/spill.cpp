@@ -80,7 +80,7 @@ Status RunReader::Refill() {
   return Status::OK();
 }
 
-Result<bool> RunReader::Next(Tuple* out) {
+Result<bool> RunReader::Read(Tuple* out) {
   while (true) {
     AX_RETURN_NOT_OK(PollAlive());
     size_t try_pos = buf_pos_;
@@ -104,10 +104,7 @@ Result<bool> RunReader::NextBatch(Batch* out) {
   out->Clear();
   while (!out->full()) {
     AX_RETURN_NOT_OK(PollAlive());
-    Tuple* slot = out->Add();
-    // Qualified call: deserialize straight into the batch slot without
-    // virtual dispatch per tuple.
-    AX_ASSIGN_OR_RETURN(bool more, RunReader::Next(slot));
+    AX_ASSIGN_OR_RETURN(bool more, Read(out->Add()));
     if (!more) {
       out->PopLast();
       break;

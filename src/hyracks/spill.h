@@ -50,9 +50,8 @@ class RunReader : public TupleStream {
   ~RunReader() override;
 
   Status Open() override { return Status::OK(); }
-  Result<bool> Next(Tuple* out) override;
-  /// Deserializes a frame's worth of tuples per call (non-virtual inner
-  /// loop), so spill re-reads feed batch consumers efficiently.
+  /// Deserializes a frame's worth of tuples per call straight into the
+  /// batch slots, so spill re-reads feed batch consumers efficiently.
   Result<bool> NextBatch(Batch* out) override;
   Status Close() override { return Status::OK(); }
 
@@ -60,6 +59,8 @@ class RunReader : public TupleStream {
   RunReader(std::string path, std::unique_ptr<File> file, bool del)
       : path_(std::move(path)), file_(std::move(file)), delete_on_close_(del) {}
   Status Refill();
+  /// Deserialize one tuple into `*out`; false at a clean end of file.
+  Result<bool> Read(Tuple* out);
   std::string path_;
   std::unique_ptr<File> file_;
   bool delete_on_close_;

@@ -49,7 +49,9 @@ Value RandomValue(Rng* rng, int depth) {
     default: {
       FieldVec fields;
       for (uint64_t i = 0; i < rng->Uniform(4); i++) {
-        fields.emplace_back("f" + std::to_string(i), RandomValue(rng, depth - 1));
+        std::string name = "f";
+        name.append(std::to_string(i));
+        fields.emplace_back(std::move(name), RandomValue(rng, depth - 1));
       }
       return Value::Object(std::move(fields));
     }

@@ -355,8 +355,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(KeyEqualityCase{1, 0}, KeyEqualityCase{4, 0},
                       KeyEqualityCase{1, 1}, KeyEqualityCase{4, 1}),
     [](const ::testing::TestParamInfo<KeyEqualityCase>& info) {
-      return "p" + std::to_string(info.param.partitions) +
-             (info.param.op_budget > 0 ? "_tiny_budget" : "_default_budget");
+      std::string name = "p";
+      name.append(std::to_string(info.param.partitions))
+          .append(info.param.op_budget > 0 ? "_tiny_budget" : "_default_budget");
+      return name;
     });
 
 }  // namespace

@@ -25,6 +25,16 @@ Tuple T(std::initializer_list<Value> vals) {
   return Tuple(std::vector<Value>(vals));
 }
 
+/// A source whose first pull fails.
+class FailingSource : public TupleStream {
+ public:
+  Status Open() override { return Status::OK(); }
+  Result<bool> NextBatch(Batch*) override {
+    return Status::Internal("injected producer failure");
+  }
+  Status Close() override { return Status::OK(); }
+};
+
 TEST(Exchange, HashPartitionRoutesConsistently) {
   // 2 producers -> 3 consumers, partitioned on field 0. All copies of the
   // same key must land on the same consumer.
@@ -95,12 +105,7 @@ TEST(Exchange, ProducerFailurePropagates) {
   Job job;
   Exchange* ex = job.AddExchange(1, 1);
   job.AddProducerTask([ex]() {
-    CallbackSource src(
-        nullptr,
-        [](Tuple*) -> Result<bool> {
-          return Status::Internal("injected producer failure");
-        },
-        nullptr);
+    FailingSource src;
     return ex->RunProducer(&src, Exchange::SingleRoute());
   });
   std::vector<StreamPtr> roots;

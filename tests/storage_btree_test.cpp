@@ -134,7 +134,9 @@ TEST(Bloom, SerializeRoundTrip) {
 TEST_F(StorageTest, BTreeBuildAndGet) {
   auto builder = BTreeBuilder::Create(Path("t.btree")).value();
   for (int i = 0; i < 10000; i++) {
-    ASSERT_TRUE(builder->Add(IntKey(i * 2), "v" + std::to_string(i)).ok());
+    ASSERT_TRUE(
+        builder->Add(IntKey(i * 2), std::string("v").append(std::to_string(i)))
+            .ok());
   }
   auto meta = builder->Finish().value();
   EXPECT_EQ(meta.entry_count, 10000u);

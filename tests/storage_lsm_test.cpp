@@ -66,7 +66,8 @@ TEST_F(LsmTest, OverwriteInMemory) {
 TEST_F(LsmTest, FlushCreatesDiskComponent) {
   auto tree = LsmBTree::Open(Options()).value();
   for (int i = 0; i < 100; i++) {
-    ASSERT_TRUE(tree->Put(IntKey(i), "v" + std::to_string(i)).ok());
+    ASSERT_TRUE(
+        tree->Put(IntKey(i), std::string("v").append(std::to_string(i))).ok());
   }
   ASSERT_TRUE(tree->Flush().ok());
   auto s = tree->stats();
@@ -235,7 +236,8 @@ TEST_F(LsmTest, ReopenRecoversDiskComponents) {
   {
     auto tree = LsmBTree::Open(Options()).value();
     for (int i = 0; i < 100; i++) {
-      ASSERT_TRUE(tree->Put(IntKey(i), "p" + std::to_string(i)).ok());
+      ASSERT_TRUE(
+          tree->Put(IntKey(i), std::string("p").append(std::to_string(i))).ok());
     }
     ASSERT_TRUE(tree->Flush().ok());
     for (int i = 100; i < 200; i++) {
@@ -299,10 +301,10 @@ TYPED_TEST(LsmLifecycleTest, SameContentsUnderAnyPolicy) {
     std::map<int64_t, std::string> model;
     for (int round = 0; round < 3; round++) {
       for (int i = 0; i < 400; i++) {
-        ASSERT_TRUE(ModelPut(*tree, &model, i,
-                             "r" + std::to_string(round) + "_" +
-                                 std::to_string(i))
-                        .ok());
+        std::string value = "r";
+        value.append(std::to_string(round)).append("_").append(
+            std::to_string(i));
+        ASSERT_TRUE(ModelPut(*tree, &model, i, value).ok());
       }
       for (int i = round * 10; i < round * 10 + 50; i++) {
         ASSERT_TRUE(ModelErase(*tree, &model, i).ok());

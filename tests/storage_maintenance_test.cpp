@@ -128,7 +128,8 @@ TYPED_TEST(MaintenanceLsmTest, ConcurrentReadersDuringBackgroundFlush) {
     });
   }
   for (int i = 0; i < kN; i++) {
-    ASSERT_TRUE(Ops::Put(*tree, i, "v" + std::to_string(i)).ok());
+    ASSERT_TRUE(
+        Ops::Put(*tree, i, std::string("v").append(std::to_string(i))).ok());
     written.store(i + 1);
   }
   for (auto& t : readers) t.join();
@@ -138,7 +139,9 @@ TYPED_TEST(MaintenanceLsmTest, ConcurrentReadersDuringBackgroundFlush) {
   EXPECT_GT(tree->stats().flushes, 0u);
   EXPECT_EQ(tree->stats().pending_immutables, 0u);
   for (int i = 0; i < kN; i++) {
-    EXPECT_EQ(Ops::Find(*tree, i).value(), "v" + std::to_string(i)) << i;
+    EXPECT_EQ(Ops::Find(*tree, i).value(),
+              std::string("v").append(std::to_string(i)))
+        << i;
   }
 }
 
@@ -235,7 +238,9 @@ TYPED_TEST(MaintenanceLsmTest, ReadParityDuringBackgroundMerges) {
     if (i % 7 == 3) {
       ASSERT_TRUE(ModelErase(*tree, &model, i % 500).ok());
     } else {
-      ASSERT_TRUE(ModelPut(*tree, &model, i % 500, "x" + std::to_string(i)).ok());
+      ASSERT_TRUE(ModelPut(*tree, &model, i % 500,
+                           std::string("x").append(std::to_string(i)))
+                      .ok());
     }
   }
   stop.store(true);

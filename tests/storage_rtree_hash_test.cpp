@@ -218,7 +218,7 @@ TEST_F(SpatialTest, LinearHashDelete) {
   BufferCache cache(64);
   auto lh = LinearHash::Create(Path("h.lhash"), &cache).value();
   for (int i = 0; i < 100; i++) {
-    ASSERT_TRUE(lh->Put("k" + std::to_string(i), "v").ok());
+    ASSERT_TRUE(lh->Put(std::string("k").append(std::to_string(i)), "v").ok());
   }
   EXPECT_TRUE(lh->Delete("k50").value());
   EXPECT_FALSE(lh->Delete("k50").value());

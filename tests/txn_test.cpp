@@ -284,7 +284,8 @@ TEST(LockManager, ContendedLockReleaseHammer) {
     threads.emplace_back([&, i] {
       for (int op = 0; op < kOps; op++) {
         TxnId t = mgr.Begin();
-        std::string key = "k" + std::to_string((i + op) % kKeys);
+        std::string key = "k";
+        key.append(std::to_string((i + op) % kKeys));
         LockMode mode =
             (op % 3 == 0) ? LockMode::kShared : LockMode::kExclusive;
         if (!mgr.Lock(t, key, mode).ok()) failures++;

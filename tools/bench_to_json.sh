@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Runs the tracked benches, merges their axbench-v1 JSON reports into one
-# BENCH_BASELINE.json, and gates five regressions: the batch-at-a-time
-# scan→select→project pipeline must not be slower than tuple-at-a-time,
-# the Basic-policy feed must retain >= 80% of direct-upsert ingest
+# BENCH_BASELINE.json, and gates five regressions: the scan→select→project
+# pipeline with an unbounded LIMIT spliced in must stay within 1.5x of the
+# plain pipeline (no operator falls back to per-tuple work), the
+# Basic-policy feed must retain >= 80% of direct-upsert ingest
 # throughput, the columnar scan must not be slower than the row scan
 # on the projection-heavy query, async LSM maintenance must not have
 # worse p99 write latency than inline (sync) maintenance, and governed
@@ -21,7 +22,8 @@
 #
 # With --check: no benches run; validates that the committed FILE (default:
 # BENCH_BASELINE.json) parses, carries the axbench-v1 schema, contains the
-# tracked entries, and records the gates (batch ≥ tuple, feed_basic ≥ 80%
+# tracked entries, and records the gates (limit-spliced pipeline ≤ 1.5x the
+# plain one, feed_basic ≥ 80%
 # of direct upsert, columnar scan ≥ 1.5x over row scan, async p99 write
 # latency ≤ sync, governed p99 ≤ ungoverned p99 — the committed baseline
 # is a quiet full run, so it must hold the ISSUE 7/9 ratios that CI smoke
@@ -77,23 +79,23 @@ gate_feed_vs_direct() {  # <file with bench_feed_ingestion results>
        "($(awk -v b="$basic_ms" -v d="$direct_ms" 'BEGIN{printf "%.0f%%", 100*d/b}') retained)"
 }
 
-gate_batch_vs_tuple() {  # <file with bench_batch_pipeline results>
-  local tuple_ms batch_ms
-  tuple_ms=$(ms_of "$1" scan_select_project_tuple)
-  batch_ms=$(ms_of "$1" scan_select_project_batch)
-  if [[ -z "$tuple_ms" || -z "$batch_ms" ]]; then
-    echo "FAIL: $1 is missing the scan_select_project_{tuple,batch} entries" >&2
+gate_limit_vs_plain() {  # <file with bench_batch_pipeline results>
+  local plain_ms limit_ms
+  plain_ms=$(ms_of "$1" scan_select_project_batch)
+  limit_ms=$(ms_of "$1" scan_select_limit_project_batch)
+  if [[ -z "$plain_ms" || -z "$limit_ms" ]]; then
+    echo "FAIL: $1 is missing the scan_select{,_limit}_project_batch entries" >&2
     return 1
   fi
-  # Gate at batch <= tuple. The committed full-run baseline shows ~2x; the
-  # CI smoke gate only rejects outright regressions (batch slower than
-  # tuple), because shared runners are too noisy to pin a larger ratio.
-  if ! awk -v b="$batch_ms" -v t="$tuple_ms" 'BEGIN{exit !(b <= t)}'; then
-    echo "FAIL: batch pipeline (${batch_ms} ms) slower than tuple (${tuple_ms} ms)" >&2
+  # Same-run gate: the two plans differ only by a LIMIT that never
+  # truncates, so a batch-native LIMIT costs almost nothing. An operator
+  # pulled tuple-at-a-time (the retired adapter cost about 3x) trips 1.5x.
+  if ! awk -v l="$limit_ms" -v p="$plain_ms" 'BEGIN{exit !(l <= 1.5 * p)}'; then
+    echo "FAIL: limit-spliced pipeline (${limit_ms} ms) is >1.5x the plain pipeline (${plain_ms} ms)" >&2
     return 1
   fi
-  echo "OK: batch ${batch_ms} ms <= tuple ${tuple_ms} ms" \
-       "($(awk -v b="$batch_ms" -v t="$tuple_ms" 'BEGIN{printf "%.2f", t/b}')x)"
+  echo "OK: limit-spliced ${limit_ms} ms vs plain ${plain_ms} ms" \
+       "($(awk -v l="$limit_ms" -v p="$plain_ms" 'BEGIN{printf "%.2f", l/p}')x, gate 1.5x)"
 }
 
 gate_columnar_vs_row() {  # <file with bench_columnar_scan results> <min ratio>
@@ -173,8 +175,8 @@ if [[ $CHECK -eq 1 ]]; then
   fi
   grep -q '"schema":"axbench-v1"' "$OUT" || {
     echo "FAIL: $OUT is not an axbench-v1 document" >&2; exit 1; }
-  for entry in scan_select_project_tuple scan_select_project_batch \
-               mixed_adapter_batch exchange_1to1_tuple exchange_1to1_batch \
+  for entry in scan_select_project_batch scan_select_limit_project_batch \
+               exchange_1to1_batch \
                speedup_agg_p1 direct_upsert feed_basic feed_spill \
                feed_discard feed_throttle feed_stall_recovery \
                columnar_scan_row columnar_scan_col \
@@ -185,7 +187,7 @@ if [[ $CHECK -eq 1 ]]; then
     grep -q '"name":"'"$entry"'"' "$OUT" || {
       echo "FAIL: $OUT is missing tracked entry '$entry'" >&2; exit 1; }
   done
-  gate_batch_vs_tuple "$OUT"
+  gate_limit_vs_plain "$OUT"
   gate_feed_vs_direct "$OUT"
   # The committed baseline comes from a quiet full run: hold the ISSUE 7
   # acceptance ratio here (fresh smoke runs below gate only col <= row).
@@ -226,7 +228,7 @@ settle
 settle
 "$BUILD_DIR"/bench/bench_admission $SMOKE --json "$tmp/admission.json"
 
-gate_batch_vs_tuple "$tmp/batch.json"
+gate_limit_vs_plain "$tmp/batch.json"
 gate_feed_vs_direct "$tmp/feeds.json"
 gate_columnar_vs_row "$tmp/colscan.json" 1.0
 gate_async_vs_sync "$tmp/lsm.json"
