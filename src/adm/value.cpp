@@ -30,67 +30,57 @@ const char* TypeTagName(TypeTag tag) {
   return "unknown";
 }
 
-Value Value::Double(double v) {
-  Value out;
-  out.tag_ = TypeTag::kDouble;
-  out.dbl_ = v;
-  return out;
-}
-
 Value Value::String(std::string s) {
-  Value out;
-  out.tag_ = TypeTag::kString;
-  out.str_ = std::make_shared<const std::string>(std::move(s));
-  return out;
+  return Box(TypeTag::kString, std::move(s));
 }
 
 Value Value::MakePoint(double x, double y) {
-  Value out;
-  out.tag_ = TypeTag::kPoint;
-  out.dbl_ = x;
-  out.dbl2_ = y;
-  return out;
+  return Box(TypeTag::kPoint, Point{x, y});
 }
 
 Value Value::MakeRectangle(Point lo, Point hi) {
-  Value out;
-  out.tag_ = TypeTag::kRectangle;
-  out.dbl_ = lo.x;
-  out.dbl2_ = lo.y;
-  out.dbl3_ = hi.x;
-  out.dbl4_ = hi.y;
-  return out;
-}
-
-Rectangle Value::AsRectangle() const {
-  return Rectangle{{dbl_, dbl2_}, {dbl3_, dbl4_}};
+  return Box(TypeTag::kRectangle, Rectangle{lo, hi});
 }
 
 Value Value::Array(std::vector<Value> items) {
-  Value out;
-  out.tag_ = TypeTag::kArray;
-  out.items_ = std::make_shared<const std::vector<Value>>(std::move(items));
-  return out;
+  return Box(TypeTag::kArray, std::move(items));
 }
 
 Value Value::Multiset(std::vector<Value> items) {
-  Value out;
-  out.tag_ = TypeTag::kMultiset;
-  out.items_ = std::make_shared<const std::vector<Value>>(std::move(items));
-  return out;
+  return Box(TypeTag::kMultiset, std::move(items));
+}
+
+void Value::Destroy() noexcept {
+  switch (tag_) {
+    case TypeTag::kString:
+      delete static_cast<Boxed<std::string>*>(word_.block);
+      return;
+    case TypeTag::kPoint:
+      delete static_cast<Boxed<Point>*>(word_.block);
+      return;
+    case TypeTag::kRectangle:
+      delete static_cast<Boxed<Rectangle>*>(word_.block);
+      return;
+    case TypeTag::kArray:
+    case TypeTag::kMultiset:
+      delete static_cast<Boxed<std::vector<Value>>*>(word_.block);
+      return;
+    case TypeTag::kObject:
+      delete static_cast<Boxed<FieldVec>*>(word_.block);
+      return;
+    default:
+      return;
+  }
 }
 
 Value Value::Object(FieldVec fields) {
-  Value out;
-  out.tag_ = TypeTag::kObject;
   // Serialized objects are already canonical (strictly sorted, so no
   // duplicates): take them as they are.
   auto unordered = std::adjacent_find(
       fields.begin(), fields.end(),
       [](const auto& a, const auto& b) { return a.first >= b.first; });
   if (unordered == fields.end()) {
-    out.fields_ = std::make_shared<const FieldVec>(std::move(fields));
-    return out;
+    return Box(TypeTag::kObject, std::move(fields));
   }
   // Stable sort + keep the last occurrence of each duplicate name.
   std::stable_sort(fields.begin(), fields.end(),
@@ -104,8 +94,7 @@ Value Value::Object(FieldVec fields) {
       dedup.emplace_back(std::move(f));
     }
   }
-  out.fields_ = std::make_shared<const FieldVec>(std::move(dedup));
-  return out;
+  return Box(TypeTag::kObject, std::move(dedup));
 }
 
 namespace {
@@ -114,7 +103,7 @@ const Value kMissingValue;
 
 const Value& Value::GetField(const std::string& name) const {
   if (tag_ != TypeTag::kObject) return kMissingValue;
-  const FieldVec& fv = *fields_;
+  const FieldVec& fv = fields();
   auto it = std::lower_bound(
       fv.begin(), fv.end(), name,
       [](const auto& f, const std::string& n) { return f.first < n; });
@@ -167,21 +156,25 @@ int Value::Compare(const Value& other) const {
     case TypeTag::kTime:
     case TypeTag::kDatetime:
     case TypeTag::kDuration:
-      return i64_ < other.i64_ ? -1 : (i64_ > other.i64_ ? 1 : 0);
+      return word_.i64 < other.word_.i64   ? -1
+             : word_.i64 > other.word_.i64 ? 1
+                                           : 0;
     case TypeTag::kDouble:
-      return CompareDoubles(dbl_, other.dbl_);
-    case TypeTag::kString:
-      return str_->compare(*other.str_) < 0   ? -1
-             : str_->compare(*other.str_) > 0 ? 1
-                                              : 0;
+      return CompareDoubles(word_.dbl, other.word_.dbl);
+    case TypeTag::kString: {
+      int c = AsString().compare(other.AsString());
+      return c < 0 ? -1 : (c > 0 ? 1 : 0);
+    }
     case TypeTag::kPoint: {
-      int c = CompareDoubles(dbl_, other.dbl_);
+      Point a = AsPoint(), b = other.AsPoint();
+      int c = CompareDoubles(a.x, b.x);
       if (c != 0) return c;
-      return CompareDoubles(dbl2_, other.dbl2_);
+      return CompareDoubles(a.y, b.y);
     }
     case TypeTag::kRectangle: {
-      const double a[4] = {dbl_, dbl2_, dbl3_, dbl4_};
-      const double b[4] = {other.dbl_, other.dbl2_, other.dbl3_, other.dbl4_};
+      Rectangle ra = AsRectangle(), rb = other.AsRectangle();
+      const double a[4] = {ra.lo.x, ra.lo.y, ra.hi.x, ra.hi.y};
+      const double b[4] = {rb.lo.x, rb.lo.y, rb.hi.x, rb.hi.y};
       for (int i = 0; i < 4; i++) {
         int c = CompareDoubles(a[i], b[i]);
         if (c != 0) return c;
@@ -189,8 +182,8 @@ int Value::Compare(const Value& other) const {
       return 0;
     }
     case TypeTag::kArray: {
-      const auto& a = *items_;
-      const auto& b = *other.items_;
+      const auto& a = items();
+      const auto& b = other.items();
       size_t n = std::min(a.size(), b.size());
       for (size_t i = 0; i < n; i++) {
         int c = a[i].Compare(b[i]);
@@ -200,8 +193,8 @@ int Value::Compare(const Value& other) const {
     }
     case TypeTag::kMultiset: {
       // Bags compare as sorted sequences (order-insensitive equality).
-      std::vector<Value> a = *items_;
-      std::vector<Value> b = *other.items_;
+      std::vector<Value> a = items();
+      std::vector<Value> b = other.items();
       auto lt = [](const Value& x, const Value& y) { return x.Compare(y) < 0; };
       std::sort(a.begin(), a.end(), lt);
       std::sort(b.begin(), b.end(), lt);
@@ -213,8 +206,8 @@ int Value::Compare(const Value& other) const {
       return a.size() < b.size() ? -1 : (a.size() > b.size() ? 1 : 0);
     }
     case TypeTag::kObject: {
-      const auto& a = *fields_;
-      const auto& b = *other.fields_;
+      const auto& a = fields();
+      const auto& b = other.fields();
       size_t n = std::min(a.size(), b.size());
       for (size_t i = 0; i < n; i++) {
         int c = a[i].first.compare(b[i].first);
@@ -250,14 +243,14 @@ uint64_t Value::Hash() const {
   switch (tag_) {
     case TypeTag::kMissing: return 0x6d697373;
     case TypeTag::kNull: return 0x6e756c6c;
-    case TypeTag::kBoolean: return i64_ ? 0xb001 : 0xb000;
+    case TypeTag::kBoolean: return word_.i64 ? 0xb001 : 0xb000;
     case TypeTag::kInt64:
     case TypeTag::kDouble: {
       // Numbers equal across tags must hash equal. Compare sets an int
       // against a double by the int's double image, so hash that image for
       // every int — also past 2^53, where neighbouring ints share one
       // image (they collide, which is allowed).
-      double d = tag_ == TypeTag::kInt64 ? static_cast<double>(i64_) : dbl_;
+      double d = AsNumber();
       if (d == 0.0) d = 0.0;  // normalize -0.0
       uint64_t bits;
       std::memcpy(&bits, &d, 8);
@@ -267,33 +260,35 @@ uint64_t Value::Hash() const {
     case TypeTag::kTime:
     case TypeTag::kDatetime:
     case TypeTag::kDuration: {
-      uint64_t h = HashBytes(&i64_, 8);
+      uint64_t h = HashBytes(&word_.i64, 8);
       return HashCombine(h, static_cast<uint64_t>(tag_));
     }
     case TypeTag::kString:
-      return HashBytes(str_->data(), str_->size());
+      return HashBytes(AsString().data(), AsString().size());
     case TypeTag::kPoint: {
-      double d[2] = {dbl_, dbl2_};
+      Point p = AsPoint();
+      double d[2] = {p.x, p.y};
       return HashBytes(d, sizeof(d));
     }
     case TypeTag::kRectangle: {
-      double d[4] = {dbl_, dbl2_, dbl3_, dbl4_};
+      Rectangle r = AsRectangle();
+      double d[4] = {r.lo.x, r.lo.y, r.hi.x, r.hi.y};
       return HashBytes(d, sizeof(d));
     }
     case TypeTag::kArray: {
       uint64_t h = 0xa77a;
-      for (const auto& v : *items_) h = HashCombine(h, v.Hash());
+      for (const auto& v : items()) h = HashCombine(h, v.Hash());
       return h;
     }
     case TypeTag::kMultiset: {
       // Order-insensitive: combine with addition.
       uint64_t h = 0xba6;
-      for (const auto& v : *items_) h += v.Hash() * kFnvPrime;
+      for (const auto& v : items()) h += v.Hash() * kFnvPrime;
       return h;
     }
     case TypeTag::kObject: {
       uint64_t h = 0x0b7ec7;
-      for (const auto& [name, v] : *fields_) {
+      for (const auto& [name, v] : fields()) {
         h = HashCombine(h, HashBytes(name.data(), name.size()));
         h = HashCombine(h, v.Hash());
       }
@@ -307,16 +302,22 @@ size_t Value::ByteSize() const {
   size_t base = sizeof(Value);
   switch (tag_) {
     case TypeTag::kString:
-      return base + str_->size();
+      return base + sizeof(Boxed<std::string>) + AsString().size();
+    case TypeTag::kPoint:
+      return base + sizeof(Boxed<Point>);
+    case TypeTag::kRectangle:
+      return base + sizeof(Boxed<Rectangle>);
     case TypeTag::kArray:
     case TypeTag::kMultiset: {
-      size_t s = base + sizeof(std::vector<Value>);
-      for (const auto& v : *items_) s += v.ByteSize();
+      size_t s = base + sizeof(Boxed<std::vector<Value>>);
+      for (const auto& v : items()) s += v.ByteSize();
       return s;
     }
     case TypeTag::kObject: {
-      size_t s = base + sizeof(FieldVec);
-      for (const auto& [name, v] : *fields_) s += name.size() + v.ByteSize();
+      size_t s = base + sizeof(Boxed<FieldVec>);
+      for (const auto& [name, v] : fields()) {
+        s += sizeof(std::string) + name.size() + v.ByteSize();
+      }
       return s;
     }
     default:

@@ -4,8 +4,8 @@
 // spatial types (point/rectangle), and distinct NULL vs MISSING semantics.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -62,20 +62,56 @@ class Value;
 /// An object's fields, kept sorted by field name for canonical comparison.
 using FieldVec = std::vector<std::pair<std::string, Value>>;
 
-/// An immutable ADM value. Copy is cheap (nested data is shared). Values
-/// form a total order (Compare) and hash consistently with that order, which
-/// the storage and runtime layers rely on for indexing, sorting and hashing.
+/// An immutable ADM value in 16 bytes: a type tag and one 8-byte word.
+/// Missing, null, boolean, int, double and the temporals live in the word.
+/// String, point, rectangle, collection and object payloads live in one
+/// heap block the word points at; copies share that block through an
+/// intrusive atomic reference count, so copying is cheap and a shared value
+/// may be copied and read from any number of threads. Values form a total
+/// order (Compare) and hash consistently with that order, which the storage
+/// and runtime layers rely on for indexing, sorting and hashing.
 class Value {
  public:
   /// Default-constructed value is MISSING.
-  Value() : tag_(TypeTag::kMissing) {}
+  Value() noexcept : tag_(TypeTag::kMissing), word_{.i64 = 0} {}
+  Value(const Value& o) noexcept : tag_(o.tag_), word_(o.word_) {
+    // Relaxed: the new reference is made from a live one, so the block
+    // cannot be freed meanwhile and nothing else needs ordering.
+    if (OnHeap(tag_)) {
+      word_.block->refs.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  /// Leaves `o` MISSING.
+  Value(Value&& o) noexcept : tag_(o.tag_), word_(o.word_) {
+    o.tag_ = TypeTag::kMissing;
+  }
+  Value& operator=(const Value& o) noexcept {
+    Value copy(o);
+    return *this = std::move(copy);
+  }
+  /// Leaves `o` MISSING (unless it is `*this`).
+  Value& operator=(Value&& o) noexcept {
+    if (this != &o) {
+      Release();
+      tag_ = o.tag_;
+      word_ = o.word_;
+      o.tag_ = TypeTag::kMissing;
+    }
+    return *this;
+  }
+  ~Value() { Release(); }
 
   // ---- constructors -------------------------------------------------------
   static Value Missing() { return Value(); }
   static Value Null() { return Scalar(TypeTag::kNull, 0); }
   static Value Boolean(bool b) { return Scalar(TypeTag::kBoolean, b ? 1 : 0); }
   static Value Int(int64_t v) { return Scalar(TypeTag::kInt64, v); }
-  static Value Double(double v);
+  static Value Double(double v) {
+    Value out;
+    out.tag_ = TypeTag::kDouble;
+    out.word_.dbl = v;
+    return out;
+  }
   static Value String(std::string s);
   static Value Date(int64_t days) { return Scalar(TypeTag::kDate, days); }
   static Value Time(int64_t ms) { return Scalar(TypeTag::kTime, ms); }
@@ -110,20 +146,20 @@ class Value {
   bool is_object() const { return tag_ == TypeTag::kObject; }
 
   /// Raw accessors; valid only for the matching tag.
-  bool AsBool() const { return i64_ != 0; }
-  int64_t AsInt() const { return i64_; }
-  double AsDoubleExact() const { return dbl_; }
+  bool AsBool() const { return word_.i64 != 0; }
+  int64_t AsInt() const { return word_.i64; }
+  double AsDoubleExact() const { return word_.dbl; }
   /// Numeric value promoted to double (valid for kInt64/kDouble).
   double AsNumber() const {
-    return tag_ == TypeTag::kInt64 ? static_cast<double>(i64_) : dbl_;
+    return tag_ == TypeTag::kInt64 ? static_cast<double>(word_.i64) : word_.dbl;
   }
   /// Raw temporal payload (days or ms depending on tag).
-  int64_t TemporalValue() const { return i64_; }
-  const std::string& AsString() const { return *str_; }
-  Point AsPoint() const { return Point{dbl_, dbl2_}; }
-  Rectangle AsRectangle() const;
-  const std::vector<Value>& items() const { return *items_; }
-  const FieldVec& fields() const { return *fields_; }
+  int64_t TemporalValue() const { return word_.i64; }
+  const std::string& AsString() const { return Payload<std::string>(); }
+  Point AsPoint() const { return Payload<Point>(); }
+  Rectangle AsRectangle() const { return Payload<Rectangle>(); }
+  const std::vector<Value>& items() const;
+  const FieldVec& fields() const;
 
   /// Field lookup by name; returns MISSING when absent (ADM semantics).
   const Value& GetField(const std::string& name) const;
@@ -145,7 +181,9 @@ class Value {
   /// Hash consistent with Compare (equal values hash equal).
   uint64_t Hash() const;
 
-  /// Approximate in-memory footprint, used for operator memory budgeting.
+  /// In-memory footprint, used for operator memory budgeting: the 16-byte
+  /// value plus, for a heap tag, its whole block (header included) and the
+  /// block's contents.
   size_t ByteSize() const;
 
   /// Render in ADM text syntax (JSON extended with typed constructors,
@@ -153,23 +191,60 @@ class Value {
   std::string ToString() const;
 
  private:
+  /// Header of a heap payload: the count of values sharing it.
+  struct Block {
+    std::atomic<uint64_t> refs{1};
+  };
+  template <typename T>
+  struct Boxed : Block {
+    explicit Boxed(T v) : data(std::move(v)) {}
+    T data;
+  };
+  union Word {
+    int64_t i64;  // ints, booleans, temporals
+    double dbl;
+    Block* block;  // heap tags only
+  };
+
+  // String and every tag from kPoint on (see the TypeTag order).
+  static constexpr bool OnHeap(TypeTag tag) {
+    return tag == TypeTag::kString || tag >= TypeTag::kPoint;
+  }
   static Value Scalar(TypeTag tag, int64_t v) {
     Value out;
     out.tag_ = tag;
-    out.i64_ = v;
+    out.word_.i64 = v;
     return out;
   }
+  template <typename T>
+  static Value Box(TypeTag tag, T data) {
+    Value out;
+    out.tag_ = tag;
+    out.word_.block = new Boxed<T>(std::move(data));
+    return out;
+  }
+  template <typename T>
+  const T& Payload() const {
+    return static_cast<const Boxed<T>*>(word_.block)->data;
+  }
+  void Release() noexcept {
+    // acq_rel: the last owner must see every other owner's reads of the
+    // payload finish before it deletes the block.
+    if (OnHeap(tag_) &&
+        word_.block->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      Destroy();
+    }
+  }
+  void Destroy() noexcept;
 
   TypeTag tag_;
-  int64_t i64_ = 0;   // ints, booleans, temporals
-  double dbl_ = 0;    // double payload; point.x; rect.lo.x
-  double dbl2_ = 0;   // point.y; rect.lo.y
-  double dbl3_ = 0;   // rect.hi.x
-  double dbl4_ = 0;   // rect.hi.y
-  std::shared_ptr<const std::string> str_;
-  std::shared_ptr<const std::vector<Value>> items_;
-  std::shared_ptr<const FieldVec> fields_;
+  Word word_;
 };
+
+inline const std::vector<Value>& Value::items() const {
+  return Payload<std::vector<Value>>();
+}
+inline const FieldVec& Value::fields() const { return Payload<FieldVec>(); }
 
 /// Convenience helpers for building objects in C++ call sites.
 class ObjectBuilder {

@@ -595,11 +595,14 @@ Result<Executor::Lowered> Executor::Build(const LogicalOpPtr& op,
         left_routes.push_back(std::move(le));
         right_routes.push_back(std::move(re));
       }
-      if (left.streams.size() != target || !keys.left.empty()) {
+      // Keyed inputs are hash-partitioned on the keys, except at one
+      // partition, where a single stream is already co-located.
+      bool by_key = !keys.left.empty() && target > 1;
+      if (left.streams.size() != target || by_key) {
         AX_ASSIGN_OR_RETURN(
             left, Repartition(std::move(left), target, left_routes, job));
       }
-      if (right.streams.size() != target || !keys.right.empty()) {
+      if (right.streams.size() != target || by_key) {
         AX_ASSIGN_OR_RETURN(
             right, Repartition(std::move(right), target, right_routes, job));
       }

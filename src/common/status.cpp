@@ -24,11 +24,16 @@ const char* CodeName(StatusCode code) {
 }
 }  // namespace
 
+const std::string& Status::message() const {
+  static const std::string kEmpty;
+  return state_ ? state_->message : kEmpty;
+}
+
 std::string Status::ToString() const {
   if (ok()) return "OK";
-  std::string out = CodeName(code_);
+  std::string out = CodeName(state_->code);
   out += ": ";
-  out += message_;
+  out += state_->message;
   return out;
 }
 

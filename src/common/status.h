@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -29,8 +30,9 @@ enum class StatusCode : uint8_t {
 };
 
 /// A Status encapsulates the result of an operation: success, or an error
-/// code plus a human-readable message. Cheap to move; the OK status carries
-/// no allocation.
+/// code plus a human-readable message. It is one pointer wide: the OK status
+/// is a null pointer and carries no allocation; an error owns a heap-held
+/// code and message, which copying duplicates.
 ///
 /// [[nodiscard]] on the class makes every function returning Status warn at
 /// call sites that drop the return value (enforced as an error in CI via
@@ -38,7 +40,12 @@ enum class StatusCode : uint8_t {
 /// fire-and-forget sites must say why and cast: `(void)DoThing();`.
 class [[nodiscard]] Status {
  public:
-  Status() : code_(StatusCode::kOk) {}
+  Status() = default;
+  Status(const Status& o)
+      : state_(o.state_ ? std::make_unique<State>(*o.state_) : nullptr) {}
+  Status(Status&&) noexcept = default;
+  Status& operator=(const Status& o) { return *this = Status(o); }
+  Status& operator=(Status&&) noexcept = default;
 
   static Status OK() { return Status(); }
   static Status InvalidArgument(std::string msg) {
@@ -81,30 +88,34 @@ class [[nodiscard]] Status {
     return Status(StatusCode::kDeadlineExceeded, std::move(msg));
   }
 
-  bool ok() const { return code_ == StatusCode::kOk; }
-  StatusCode code() const { return code_; }
-  const std::string& message() const { return message_; }
+  bool ok() const { return state_ == nullptr; }
+  StatusCode code() const { return state_ ? state_->code : StatusCode::kOk; }
+  /// Empty for OK.
+  const std::string& message() const;
 
-  bool IsNotFound() const { return code_ == StatusCode::kNotFound; }
-  bool IsAlreadyExists() const { return code_ == StatusCode::kAlreadyExists; }
+  bool IsNotFound() const { return code() == StatusCode::kNotFound; }
+  bool IsAlreadyExists() const { return code() == StatusCode::kAlreadyExists; }
   bool IsResourceExhausted() const {
-    return code_ == StatusCode::kResourceExhausted;
+    return code() == StatusCode::kResourceExhausted;
   }
-  bool IsTxnConflict() const { return code_ == StatusCode::kTxnConflict; }
-  bool IsCancelled() const { return code_ == StatusCode::kCancelled; }
+  bool IsTxnConflict() const { return code() == StatusCode::kTxnConflict; }
+  bool IsCancelled() const { return code() == StatusCode::kCancelled; }
   bool IsDeadlineExceeded() const {
-    return code_ == StatusCode::kDeadlineExceeded;
+    return code() == StatusCode::kDeadlineExceeded;
   }
 
   /// Render as "CODE: message" for logs and test failures.
   std::string ToString() const;
 
  private:
+  struct State {
+    StatusCode code;
+    std::string message;
+  };
   Status(StatusCode code, std::string msg)
-      : code_(code), message_(std::move(msg)) {}
+      : state_(std::make_unique<State>(State{code, std::move(msg)})) {}
 
-  StatusCode code_;
-  std::string message_;
+  std::unique_ptr<State> state_;  // null means OK
 };
 
 /// Propagate a non-OK Status to the caller.

@@ -10,6 +10,7 @@
 #include "asterix/gleambook.h"
 #include "asterix/instance.h"
 #include "common/metrics.h"
+#include "hyracks/profile.h"
 
 namespace asterix {
 namespace {
@@ -360,6 +361,101 @@ INSTANTIATE_TEST_SUITE_P(
           .append(info.param.op_budget > 0 ? "_tiny_budget" : "_default_budget");
       return name;
     });
+
+// At one partition both join inputs already sit in the join's only
+// partition, so the keyed join must not route them through a 1->1 hash
+// exchange (a producer thread and queue per side). The answers of every
+// join kind must match a 4-partition instance, which does repartition.
+class SinglePartitionJoin : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    base_ = ::testing::TempDir() + "axjoin1_";
+    one_ = Load(base_ + "p1", 1, /*profile=*/true);
+    four_ = Load(base_ + "p4", 4, /*profile=*/false);
+  }
+  void TearDown() override {
+    one_.reset();
+    four_.reset();
+    std::filesystem::remove_all(base_ + "p1");
+    std::filesystem::remove_all(base_ + "p4");
+  }
+  static std::unique_ptr<Instance> Load(const std::string& dir,
+                                        size_t partitions, bool profile) {
+    std::filesystem::remove_all(dir);
+    InstanceOptions opts;
+    opts.base_dir = dir;
+    opts.num_partitions = partitions;
+    opts.profile_queries = profile;
+    auto inst = Instance::Open(opts).value();
+    EXPECT_TRUE(inst->ExecuteScript(gleambook::Generator::Ddl(false)).ok());
+    gleambook::GeneratorOptions gen_opts;
+    gen_opts.num_users = 200;
+    gen_opts.num_messages = 600;
+    gleambook::Generator gen(gen_opts);
+    for (const auto& u : gen.Users()) {
+      EXPECT_TRUE(inst->UpsertValue("GleambookUsers", u).ok());
+    }
+    for (const auto& m : gen.Messages()) {
+      EXPECT_TRUE(inst->UpsertValue("GleambookMessages", m).ok());
+    }
+    return inst;
+  }
+  // Labels of every profile node in the subtree under `id`, `id` excluded.
+  static void Below(const hyracks::PlanProfile& profile, int id,
+                    std::vector<std::string>* labels) {
+    for (int c : profile.node(id).children) {
+      labels->push_back(profile.node(c).label);
+      Below(profile, c, labels);
+    }
+  }
+  std::string base_;
+  std::unique_ptr<Instance> one_;
+  std::unique_ptr<Instance> four_;
+};
+
+TEST_F(SinglePartitionJoin, NoExchangeUnderJoinAndSameAnswers) {
+  const char* queries[] = {
+      // inner
+      "SELECT u.id AS uid, m.messageId AS mid FROM GleambookUsers u "
+      "JOIN GleambookMessages m ON m.authorId = u.id WHERE u.id < 60",
+      // left outer: users with no message keep a MISSING mid
+      "SELECT u.id AS uid, m.messageId AS mid FROM GleambookUsers u "
+      "LEFT JOIN GleambookMessages m ON m.authorId = u.id",
+      // left semi
+      "SELECT VALUE u.id FROM GleambookUsers u "
+      "WHERE SOME m IN GleambookMessages SATISFIES m.authorId = u.id",
+  };
+  for (const char* q : queries) {
+    auto got = one_->Execute(q);
+    ASSERT_TRUE(got.ok()) << q << ": " << got.status().ToString();
+    auto want = four_->Execute(q);
+    ASSERT_TRUE(want.ok()) << q << ": " << want.status().ToString();
+    ASSERT_FALSE(want->rows.empty()) << q;
+    auto g = Canon(got->rows);
+    auto w = Canon(want->rows);
+    ASSERT_EQ(g.size(), w.size()) << q;
+    for (size_t i = 0; i < g.size(); i++) {
+      EXPECT_EQ(g[i], w[i]) << q << " row " << i << ": " << g[i].ToString()
+                            << " vs " << w[i].ToString();
+    }
+
+    ASSERT_NE(got->profile, nullptr) << q;
+    const auto& profile = *got->profile;
+    int joins = 0;
+    for (size_t i = 0; i < profile.size(); i++) {
+      int id = static_cast<int>(i);
+      if (profile.node(id).label != "JOIN(hash)") continue;
+      joins++;
+      std::vector<std::string> below;
+      Below(profile, id, &below);
+      for (const auto& label : below) {
+        EXPECT_EQ(label.rfind("EXCHANGE", 0), std::string::npos)
+            << q << "\n" << got->profiled_plan;
+      }
+    }
+    EXPECT_EQ(joins, 1) << q << "\n" << got->profiled_plan;
+  }
+}
 
 }  // namespace
 }  // namespace asterix
