@@ -107,7 +107,7 @@ namespace {
 // of skipping to a few byte comparisons.
 class Reader {
  public:
-  Reader(const std::string& data, size_t pos) : data_(data), pos_(pos) {}
+  Reader(std::string_view data, size_t pos) : data_(data), pos_(pos) {}
 
   size_t pos() const { return pos_; }
   Status status() const { return Status::Corruption(error_); }
@@ -294,14 +294,14 @@ class Reader {
     return false;
   }
 
-  const std::string& data_;
+  std::string_view data_;
   size_t pos_;
   std::string error_;
 };
 
 }  // namespace
 
-Result<uint64_t> GetVarint(const std::string& data, size_t* pos) {
+Result<uint64_t> GetVarint(std::string_view data, size_t* pos) {
   Reader r(data, *pos);
   uint64_t v;
   if (!r.Varint(&v)) return r.status();
@@ -309,7 +309,7 @@ Result<uint64_t> GetVarint(const std::string& data, size_t* pos) {
   return v;
 }
 
-Result<Value> DeserializeValue(const std::string& data, size_t* pos) {
+Result<Value> DeserializeValue(std::string_view data, size_t* pos) {
   Reader r(data, *pos);
   Value v;
   if (!r.ReadValue(&v)) return r.status();
@@ -317,14 +317,14 @@ Result<Value> DeserializeValue(const std::string& data, size_t* pos) {
   return v;
 }
 
-Result<Value> Deserialize(const std::string& data) {
+Result<Value> Deserialize(std::string_view data) {
   Reader r(data, 0);
   Value v;
   if (!r.ReadValue(&v) || !r.AtEnd()) return r.status();
   return v;
 }
 
-Result<Value> DeserializeProjected(const std::string& data,
+Result<Value> DeserializeProjected(std::string_view data,
                                    const std::vector<std::string>& fields,
                                    uint64_t* fields_skipped) {
   if (data.empty() || static_cast<TypeTag>(data[0]) != TypeTag::kObject) {
@@ -344,7 +344,7 @@ RecordDecoder::RecordDecoder(std::vector<std::string> fields, bool projected)
   fields_.erase(std::unique(fields_.begin(), fields_.end()), fields_.end());
 }
 
-Result<Value> RecordDecoder::Decode(const std::string& raw) {
+Result<Value> RecordDecoder::Decode(std::string_view raw) {
   if (!projected_) return Deserialize(raw);
   return DeserializeProjected(raw, fields_, &skipped_);
 }

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "adm/value.h"
@@ -23,10 +24,11 @@ inline std::string Serialize(const Value& v) {
 }
 
 /// Decode one value from `data` starting at `*pos`; advances `*pos`.
-Result<Value> DeserializeValue(const std::string& data, size_t* pos);
+Result<Value> DeserializeValue(std::string_view data, size_t* pos);
 
-/// Decode a buffer that contains exactly one value.
-Result<Value> Deserialize(const std::string& data);
+/// Decode a buffer that contains exactly one value. Reads `data` in place:
+/// a scan passes the view of a pinned page.
+Result<Value> Deserialize(std::string_view data);
 
 /// Like Deserialize, but when the value is an object only the top-level
 /// fields named in `fields` (sorted by name) are built; the result equals
@@ -34,7 +36,7 @@ Result<Value> Deserialize(const std::string& data);
 /// still walked and validated, so the call fails with the same Corruption
 /// as Deserialize on the same bytes. Non-object values decode whole. Adds
 /// the number of skipped fields to `*fields_skipped` when given.
-Result<Value> DeserializeProjected(const std::string& data,
+Result<Value> DeserializeProjected(std::string_view data,
                                    const std::vector<std::string>& fields,
                                    uint64_t* fields_skipped = nullptr);
 
@@ -50,7 +52,7 @@ class RecordDecoder {
   RecordDecoder(std::vector<std::string> fields, bool projected);
 
   /// Decodes one serialized record (Deserialize or DeserializeProjected).
-  Result<Value> Decode(const std::string& raw);
+  Result<Value> Decode(std::string_view raw);
   /// Adds the skipped-field tally to the counter and resets it.
   void Flush();
 
@@ -62,6 +64,6 @@ class RecordDecoder {
 
 /// Varint helpers shared with the storage layer (LEB128, unsigned).
 void PutVarint(uint64_t v, std::string* out);
-Result<uint64_t> GetVarint(const std::string& data, size_t* pos);
+Result<uint64_t> GetVarint(std::string_view data, size_t* pos);
 
 }  // namespace asterix::adm

@@ -158,7 +158,7 @@ class IndexSearchSource : public hyracks::TupleStream {
   }
 
  private:
-  Status Emit(const std::string& raw) {
+  Status Emit(std::string_view raw) {
     AX_ASSIGN_OR_RETURN(adm::Value record, decoder_.Decode(raw));
     Tuple t;
     t.fields.push_back(std::move(record));

@@ -19,7 +19,7 @@ void PutVar(std::string* out, uint64_t v) {
   out->push_back(static_cast<char>(v));
 }
 
-Result<uint64_t> GetVar(const std::string& data, size_t* pos) {
+Result<uint64_t> GetVar(std::string_view data, size_t* pos) {
   uint64_t v = 0;
   int shift = 0;
   while (*pos < data.size() && shift <= 63) {
@@ -107,10 +107,11 @@ std::string Compress(const std::string& input) {
   return out;
 }
 
-Result<std::string> Decompress(const std::string& compressed) {
+Status DecompressInto(std::string_view compressed, std::string* out_buf) {
+  std::string& out = *out_buf;
+  out.clear();
   size_t pos = 0;
   AX_ASSIGN_OR_RETURN(uint64_t total, GetVar(compressed, &pos));
-  std::string out;
   out.reserve(total);
   while (out.size() < total) {
     if (pos >= compressed.size()) {
@@ -122,7 +123,7 @@ Result<std::string> Decompress(const std::string& compressed) {
       if (pos + len > compressed.size() || out.size() + len > total) {
         return Status::Corruption("bad literal run");
       }
-      out.append(compressed, pos, len);
+      out.append(compressed.substr(pos, len));
       pos += len;
     } else if (tag == 0x01) {
       AX_ASSIGN_OR_RETURN(uint64_t dist, GetVar(compressed, &pos));
@@ -140,6 +141,12 @@ Result<std::string> Decompress(const std::string& compressed) {
   if (pos != compressed.size()) {
     return Status::Corruption("trailing bytes after compressed stream");
   }
+  return Status::OK();
+}
+
+Result<std::string> Decompress(std::string_view compressed) {
+  std::string out;
+  AX_RETURN_NOT_OK(DecompressInto(compressed, &out));
   return out;
 }
 

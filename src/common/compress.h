@@ -9,6 +9,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "common/result.h"
 
@@ -18,6 +19,10 @@ namespace asterix {
 std::string Compress(const std::string& input);
 
 /// Decompress a Compress() buffer; fails on corruption.
-Result<std::string> Decompress(const std::string& compressed);
+Result<std::string> Decompress(std::string_view compressed);
+
+/// Decompress into `*out`, replacing its contents; a caller that decodes
+/// many buffers reuses one output's capacity.
+Status DecompressInto(std::string_view compressed, std::string* out);
 
 }  // namespace asterix

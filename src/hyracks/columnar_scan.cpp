@@ -68,7 +68,7 @@ struct ColumnarScanSource::Source {
     if (col) return row < col->row_count();
     return iter->Valid();
   }
-  const std::string& key() const {
+  std::string_view key() const {
     if (is_mem) return (*mem)[idx].key;
     if (col) return col->key(row);
     return iter->key();
@@ -98,14 +98,16 @@ struct ColumnarScanSource::Source {
 struct ColumnarScanSource::Candidate {
   Source* src = nullptr;
   uint64_t row = 0;       // columnar: row index in src
-  std::string raw;        // mem/row: serialized record
+  std::string_view mem_raw;  // mem: serialized record, in the scan snapshot
+  std::string row_raw;    // row: serialized record, copied off the leaf
   bool keep = true;
   bool decoded = false;
   adm::Value record = adm::Value::Missing();
 
   Result<const adm::Value*> Record(adm::RecordDecoder* decoder) {
     if (!decoded) {
-      AX_ASSIGN_OR_RETURN(record, decoder->Decode(raw));
+      AX_ASSIGN_OR_RETURN(record,
+                          decoder->Decode(src->is_mem ? mem_raw : row_raw));
       decoded = true;
     }
     return &record;
@@ -207,13 +209,13 @@ Status ColumnarScanSource::Refill() {
       continue;
     }
     Source* winner = nullptr;
-    const std::string* min_key = nullptr;
+    std::string_view min_key;
     for (auto& s : sources_) {
       if (!s->valid()) continue;
-      if (min_key == nullptr || s->key() < *min_key) {
-        min_key = &s->key();
-        winner = s.get();
-      } else if (s->key() == *min_key && s->rank < winner->rank) {
+      std::string_view k = s->key();
+      if (winner == nullptr || k < min_key ||
+          (k == min_key && s->rank < winner->rank)) {
+        min_key = k;
         winner = s.get();
       }
     }
@@ -221,17 +223,18 @@ Status ColumnarScanSource::Refill() {
       exhausted_ = true;
       break;
     }
-    std::string k = *min_key;
+    // The winner's key view dies when it steps; keys fit the inline buffer.
+    std::string k(min_key);
     if (!winner->antimatter()) {
       Candidate c;
       c.src = winner;
       if (winner->col != nullptr) {
         c.row = winner->row;
       } else if (winner->is_mem) {
-        c.raw = (*winner->mem)[winner->idx].value;
+        c.mem_raw = (*winner->mem)[winner->idx].value;
       } else {
-        AX_ASSIGN_OR_RETURN(c.raw, storage::DecodeDiskEntry(
-                                       winner->iter->value()));
+        AX_RETURN_NOT_OK(
+            storage::DecodeDiskEntry(winner->iter->value(), &c.row_raw));
       }
       cands.push_back(std::move(c));
     }

@@ -374,21 +374,8 @@ Result<PageNo> BTree::FindLeaf(const std::string& key) const {
   return page_no;
 }
 
-Status BTree::ReadEntry(PageNo leaf, uint16_t slot, std::string* key,
-                        std::string* value) const {
-  AX_ASSIGN_OR_RETURN(PageHandle page, cache_->Pin(fref_, leaf));
-  const char* p = page.data();
-  EntryView e = ParseEntryHeader(p, slot);
-  key->assign(e.key, e.key_len);
-  size_t pos = e.value_pos;
-  if (e.flags == kEntryInline) {
-    uint64_t vlen = GetVar(p, &pos);
-    value->assign(p + pos, vlen);
-    return Status::OK();
-  }
-  // Overflow: follow the page chain.
-  PageNo chunk = GetU32(p + pos);
-  uint32_t total = GetU32(p + pos + 4);
+Status BTree::ReadOverflow(PageNo chunk, uint32_t total,
+                           std::string* value) const {
   value->clear();
   value->reserve(total);
   while (value->size() < total) {
@@ -401,11 +388,13 @@ Status BTree::ReadEntry(PageNo leaf, uint16_t slot, std::string* key,
   return Status::OK();
 }
 
-Result<bool> BTree::Get(const std::string& key, std::string* value) const {
+Result<bool> BTree::Find(const std::string& key, Iterator* it) const {
+  it->valid_ = false;
+  it->page_ = PageHandle();
   if (meta_.entry_count == 0) return false;
   AX_ASSIGN_OR_RETURN(PageNo leaf, FindLeaf(key));
-  AX_ASSIGN_OR_RETURN(PageHandle page, cache_->Pin(fref_, leaf));
-  const char* p = page.data();
+  AX_RETURN_NOT_OK(it->PinLeaf(leaf));
+  const char* p = it->page_.data();
   uint16_t count = GetU16(p + 2);
   uint16_t lo = 0, hi = count;
   while (lo < hi) {
@@ -417,12 +406,21 @@ Result<bool> BTree::Get(const std::string& key, std::string* value) const {
     } else if (c > 0) {
       hi = mid;
     } else {
-      std::string k;
-      AX_RETURN_NOT_OK(ReadEntry(leaf, mid, &k, value));
+      it->slot_ = mid;
+      it->valid_ = true;
+      AX_RETURN_NOT_OK(it->LoadEntry());
       return true;
     }
   }
+  it->page_ = PageHandle();
   return false;
+}
+
+Result<bool> BTree::Get(const std::string& key, std::string* value) const {
+  Iterator it(this);
+  AX_ASSIGN_OR_RETURN(bool found, Find(key, &it));
+  if (found) value->assign(it.value());
+  return found;
 }
 
 Status BTree::Iterator::PinLeaf(PageNo leaf) {
@@ -502,18 +500,19 @@ Status BTree::Iterator::Next() {
 }
 
 Status BTree::Iterator::LoadEntry() {
-  // Parse directly from the pinned leaf; overflow values fall back to the
-  // slower path.
   const char* p = page_.data();
   EntryView e = ParseEntryHeader(p, slot_);
+  key_ = std::string_view(e.key, e.key_len);
+  size_t pos = e.value_pos;
   if (e.flags == kEntryInline) {
-    key_.assign(e.key, e.key_len);
-    size_t pos = e.value_pos;
     uint64_t vlen = GetVar(p, &pos);
-    value_.assign(p + pos, vlen);
+    value_ = std::string_view(p + pos, vlen);
     return Status::OK();
   }
-  return tree_->ReadEntry(leaf_, slot_, &key_, &value_);
+  AX_RETURN_NOT_OK(
+      tree_->ReadOverflow(GetU32(p + pos), GetU32(p + pos + 4), &overflow_));
+  value_ = overflow_;
+  return Status::OK();
 }
 
 }  // namespace asterix::storage

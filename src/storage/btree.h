@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "common/result.h"
 #include "storage/buffer_cache.h"
@@ -74,6 +75,11 @@ class BTree {
   /// Forward iterator over entries in key order. Holds a pin on the
   /// current leaf page so sequential scans touch the buffer cache once per
   /// page, not once per entry.
+  ///
+  /// key() and value() are views, valid until the next Next, Seek,
+  /// SeekToFirst, Find or the iterator's destruction. Both point into the
+  /// pinned leaf, except an overflow value, which is read into a buffer
+  /// the iterator owns.
   class Iterator {
    public:
     /// Position at the first entry with key >= `key`.
@@ -81,8 +87,8 @@ class BTree {
     Status SeekToFirst();
     bool Valid() const { return valid_; }
     Status Next();
-    const std::string& key() const { return key_; }
-    const std::string& value() const { return value_; }
+    std::string_view key() const { return key_; }
+    std::string_view value() const { return value_; }
 
    private:
     friend class BTree;
@@ -94,10 +100,16 @@ class BTree {
     uint16_t slot_ = 0;
     bool valid_ = false;
     PageHandle page_;  // pinned current leaf
-    std::string key_, value_;
+    std::string_view key_, value_;
+    std::string overflow_;  // value_ of an overflow entry
   };
 
   Iterator NewIterator() const { return Iterator(this); }
+
+  /// Point lookup that leaves `it` (from this tree) on the entry with key
+  /// `key`: true if there is one, else false with `it` invalid. The
+  /// iterator's value() then reads the entry in place.
+  Result<bool> Find(const std::string& key, Iterator* it) const;
 
   const BTreeMeta& meta() const { return meta_; }
   uint64_t entry_count() const { return meta_.entry_count; }
@@ -109,9 +121,9 @@ class BTree {
 
   /// Descend from the root to the leaf that may contain `key`.
   Result<PageNo> FindLeaf(const std::string& key) const;
-  /// Read the full value of entry `slot` on leaf `leaf` (follows overflow).
-  Status ReadEntry(PageNo leaf, uint16_t slot, std::string* key,
-                   std::string* value) const;
+  /// Read an overflow value of `total` bytes whose chain starts at page
+  /// `chunk` into `*value`.
+  Status ReadOverflow(PageNo chunk, uint32_t total, std::string* value) const;
 
   std::string path_;
   BufferCache* cache_;

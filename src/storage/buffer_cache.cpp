@@ -51,9 +51,7 @@ BufferCache::BufferCache(size_t num_frames, size_t num_shards)
     shard->frames.resize(count);
     for (size_t i = 0; i < count; i++) {
       shard->frames[i].data = std::make_unique<char[]>(kPageSize);
-      shard->lru.push_back(i);
-      shard->frames[i].lru_it = std::prev(shard->lru.end());
-      shard->frames[i].in_lru = true;
+      shard->frames[i].node = shard->lru.insert(shard->lru.end(), i);
     }
     shards_.push_back(std::move(shard));
   }
@@ -151,10 +149,7 @@ Result<PageHandle> BufferCache::PinInternal(const FileEntryPtr& entry,
     shard.m_hits->Add(1);
     size_t slot = it->second;
     Frame& f = shard.frames[slot];
-    if (f.pins == 0 && f.in_lru) {
-      shard.lru.erase(f.lru_it);
-      f.in_lru = false;
-    }
+    if (f.pins == 0) shard.pinned.splice(shard.pinned.end(), shard.lru, f.node);
     f.pins++;
     return PageHandle(this, shard_idx, slot, f.data.get());
   }
@@ -164,9 +159,13 @@ Result<PageHandle> BufferCache::PinInternal(const FileEntryPtr& entry,
   Frame& f = shard.frames[slot];
   if (fresh_zeroed) {
     std::memset(f.data.get(), 0, kPageSize);
-  } else {
-    AX_RETURN_NOT_OK(entry->file->ReadAt(
-        static_cast<uint64_t>(page_no) * kPageSize, kPageSize, f.data.get()));
+  } else if (Status st = entry->file->ReadAt(
+                 static_cast<uint64_t>(page_no) * kPageSize, kPageSize,
+                 f.data.get());
+             !st.ok()) {
+    // The frame is free again: first in line for the next miss.
+    shard.lru.splice(shard.lru.begin(), shard.pinned, f.node);
+    return st;
   }
   f.file = file;
   f.page = page_no;
@@ -284,11 +283,8 @@ void BufferCache::Unpin(size_t shard_idx, size_t slot) {
   std::lock_guard<std::mutex> lock(shard.mu);
   Frame& f = shard.frames[slot];
   f.pins--;
-  if (f.pins == 0 && !f.in_lru) {
-    shard.lru.push_back(slot);  // most-recently used at the back
-    f.lru_it = std::prev(shard.lru.end());
-    f.in_lru = true;
-  }
+  // Most-recently used at the back.
+  if (f.pins == 0) shard.lru.splice(shard.lru.end(), shard.pinned, f.node);
 }
 
 void BufferCache::MarkDirtySlot(size_t shard_idx, size_t slot) {
@@ -302,9 +298,7 @@ Result<size_t> BufferCache::GrabFrameLocked(Shard& shard) {
     return Status::ResourceExhausted("buffer cache: all frames pinned");
   }
   size_t slot = shard.lru.front();
-  shard.lru.pop_front();
   Frame& f = shard.frames[slot];
-  f.in_lru = false;
   if (f.used) {
     shard.evictions++;
     shard.m_evictions->Add(1);
@@ -318,6 +312,7 @@ Result<size_t> BufferCache::GrabFrameLocked(Shard& shard) {
     f.used = false;
     f.file_entry.reset();
   }
+  shard.pinned.splice(shard.pinned.end(), shard.lru, f.node);
   return slot;
 }
 

@@ -145,8 +145,9 @@ class BufferCache {
     bool dirty = false;
     int pins = 0;
     std::unique_ptr<char[]> data;
-    std::list<size_t>::iterator lru_it;
-    bool in_lru = false;
+    // The frame's one list node, for its whole life: in `lru` while
+    // unpinned, in `pinned` while pinned. Pin and unpin splice it.
+    std::list<size_t>::iterator node;
   };
 
   struct Shard {
@@ -154,6 +155,8 @@ class BufferCache {
     std::vector<Frame> frames AX_GUARDED_BY(mu);
     // Unpinned frames, least-recent first.
     std::list<size_t> lru AX_GUARDED_BY(mu);
+    // Pinned frames, in no particular order.
+    std::list<size_t> pinned AX_GUARDED_BY(mu);
     // (file,page) -> slot.
     std::unordered_map<uint64_t, size_t> page_map AX_GUARDED_BY(mu);
     uint64_t hits AX_GUARDED_BY(mu) = 0, misses AX_GUARDED_BY(mu) = 0,
@@ -174,7 +177,8 @@ class BufferCache {
       const FileEntryPtr& entry, FileId file);
   void Unpin(size_t shard, size_t slot);
   void MarkDirtySlot(size_t shard, size_t slot);
-  // Finds a victim frame (evicting — and writing back — if necessary).
+  // Finds a victim frame (evicting — and writing back — if necessary) and
+  // moves it to `pinned`.
   Result<size_t> GrabFrameLocked(Shard& shard) AX_REQUIRES(shard.mu);
   // Caller holds the mutex of the shard owning `f` (inexpressible to the
   // analysis because Frame does not point back to its shard).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <utility>
 
 #include "adm/serde.h"
 #include "common/compress.h"
@@ -72,15 +73,27 @@ bool DecodeColumnarRecords(const std::vector<LsmBTree::SnapshotEntry>& rows,
 }
 }  // namespace
 
-bool DiskEntryIsAntimatter(const std::string& raw) {
+bool DiskEntryIsAntimatter(std::string_view raw) {
   return !raw.empty() && raw[0] == kAntimatter;
 }
 
-Result<std::string> DecodeDiskEntry(const std::string& raw) {
+Status DecodeDiskEntry(std::string_view raw, std::string* out) {
   if (raw.empty()) return Status::Corruption("empty LSM disk entry");
-  if (raw[0] == kLiveCompressed) return Decompress(raw.substr(1));
-  return raw.substr(1);
+  if (raw[0] == kLiveCompressed) return DecompressInto(raw.substr(1), out);
+  out->assign(raw.substr(1));
+  return Status::OK();
 }
+
+namespace {
+// The live value of entry `raw` as a view: past the marker byte, in place,
+// when the entry is stored plain; else decoded into `*scratch`.
+Result<std::string_view> DiskEntryView(std::string_view raw,
+                                       std::string* scratch) {
+  if (!raw.empty() && raw[0] == kLive) return raw.substr(1);
+  AX_RETURN_NOT_OK(DecodeDiskEntry(raw, scratch));
+  return std::string_view(*scratch);
+}
+}  // namespace
 
 LsmBTree::LsmBTree(const LsmOptions& options)
     : life_(options, Format{options}, BTreeMetrics()) {}
@@ -154,14 +167,13 @@ Result<bool> LsmBTree::Get(const std::string& key, std::string* value) const {
       }
       return true;
     }
-    std::string raw;
-    AX_ASSIGN_OR_RETURN(bool found, comp->tree->Get(key, &raw));
+    BTree::Iterator entry = comp->tree->NewIterator();
+    AX_ASSIGN_OR_RETURN(bool found, comp->tree->Find(key, &entry));
     if (!found) continue;
+    std::string_view raw = entry.value();
     if (raw.empty()) return Status::Corruption("empty LSM disk entry");
     if (raw[0] == kAntimatter) return false;
-    if (value) {
-      AX_ASSIGN_OR_RETURN(*value, DecodeDiskEntry(raw));
-    }
+    if (value) AX_RETURN_NOT_OK(DecodeDiskEntry(raw, value));
     return true;
   }
   return false;
@@ -231,175 +243,206 @@ Status LsmBTree::Format::BuildMerge(const std::vector<ComponentPtr>& victims,
 // Iterator
 // ---------------------------------------------------------------------------
 
+// One merge input: the copied mutable memory component, a pinned immutable
+// memory component, or a pinned disk component. Each serves the entry it is
+// positioned on in place where it can.
 struct LsmBTree::Iterator::Source {
-  int rank = 0;  // lower = newer
-  // Memory snapshot source:
+  enum class Kind { kSnapshot, kFrozen, kRow, kColumnar };
+  Kind kind;
+  // kSnapshot: the mutable memory component, copied under the tree's lock.
   std::vector<std::pair<std::string, MemEntry>> snapshot;
   size_t idx = 0;
-  bool is_mem = false;
-  // Disk source (row component):
+  // kFrozen: an immutable memory component, read in place under its pin.
+  Lifecycle::FrozenPtr frozen;
+  Format::Mem::const_iterator pos;
+  // kRow and kColumnar: a disk component. `comp` is declared before `disk`
+  // so the leaf pin is dropped before the component can close its tree.
   ComponentPtr comp;
-  std::unique_ptr<BTree::Iterator> disk;
-  // Disk source (columnar component): all columns preloaded so full scans
-  // and merges materialize from memory instead of per-row preads.
-  bool is_col = false;
+  std::optional<BTree::Iterator> disk;
+  // kColumnar: all columns preloaded so full scans and merges materialize
+  // from memory instead of per-row preads.
   std::vector<ColumnData> cols;
   uint64_t row = 0;
+  // A decompressed or re-serialized (columnar) value.
+  std::string scratch;
+
+  explicit Source(Kind k) : kind(k) {}
 
   bool valid() const {
-    if (is_mem) return idx < snapshot.size();
-    if (is_col) return row < comp->col->row_count();
-    return disk && disk->Valid();
+    switch (kind) {
+      case Kind::kSnapshot: return idx < snapshot.size();
+      case Kind::kFrozen: return pos != frozen->mem.end();
+      case Kind::kRow: return disk->Valid();
+      case Kind::kColumnar: return row < comp->col->row_count();
+    }
+    return false;
   }
-  const std::string& key() const {
-    if (is_mem) return snapshot[idx].first;
-    if (is_col) return comp->col->key(row);
-    return disk->key();
+  std::string_view key() const {
+    switch (kind) {
+      case Kind::kSnapshot: return snapshot[idx].first;
+      case Kind::kFrozen: return pos->first;
+      case Kind::kRow: return disk->key();
+      case Kind::kColumnar: return comp->col->key(row);
+    }
+    return {};
   }
   bool antimatter() const {
-    if (is_mem) return snapshot[idx].second.antimatter;
-    if (is_col) return comp->col->antimatter(row);
-    return !disk->value().empty() && disk->value()[0] == kAntimatter;
-  }
-  Result<std::string> value() const {
-    if (is_mem) return snapshot[idx].second.value;
-    if (is_col) {
-      AX_ASSIGN_OR_RETURN(adm::Value record, comp->col->MaterializeRow(cols, row));
-      return adm::Serialize(record);
+    switch (kind) {
+      case Kind::kSnapshot: return snapshot[idx].second.antimatter;
+      case Kind::kFrozen: return pos->second.antimatter;
+      case Kind::kRow: return DiskEntryIsAntimatter(disk->value());
+      case Kind::kColumnar: return comp->col->antimatter(row);
     }
-    return DecodeDiskEntry(disk->value());
+    return false;
+  }
+  Result<std::string_view> value() {
+    switch (kind) {
+      case Kind::kSnapshot: return std::string_view(snapshot[idx].second.value);
+      case Kind::kFrozen: return std::string_view(pos->second.value);
+      case Kind::kRow: return DiskEntryView(disk->value(), &scratch);
+      case Kind::kColumnar: {
+        AX_ASSIGN_OR_RETURN(adm::Value record,
+                            comp->col->MaterializeRow(cols, row));
+        scratch.clear();
+        adm::SerializeValue(record, &scratch);
+        return std::string_view(scratch);
+      }
+    }
+    return Status::Internal("bad LSM iterator source");
   }
   Status Next() {
-    if (is_mem) {
-      idx++;
-      return Status::OK();
+    switch (kind) {
+      case Kind::kSnapshot: idx++; break;
+      case Kind::kFrozen: ++pos; break;
+      case Kind::kRow: return disk->Next();
+      case Kind::kColumnar: row++; break;
     }
-    if (is_col) {
-      row++;
-      return Status::OK();
-    }
-    return disk->Next();
+    return Status::OK();
   }
   Status Seek(const std::string& k) {
-    if (is_mem) {
-      idx = static_cast<size_t>(
-          std::lower_bound(snapshot.begin(), snapshot.end(), k,
-                           [](const auto& a, const std::string& b) {
-                             return a.first < b;
-                           }) -
-          snapshot.begin());
-      return Status::OK();
+    switch (kind) {
+      case Kind::kSnapshot:
+        idx = static_cast<size_t>(
+            std::lower_bound(snapshot.begin(), snapshot.end(), k,
+                             [](const auto& a, const std::string& b) {
+                               return a.first < b;
+                             }) -
+            snapshot.begin());
+        break;
+      case Kind::kFrozen: pos = frozen->mem.lower_bound(k); break;
+      case Kind::kRow: return disk->Seek(k);
+      case Kind::kColumnar: row = comp->col->LowerBound(k); break;
     }
-    if (is_col) {
-      row = comp->col->LowerBound(k);
-      return Status::OK();
-    }
-    return disk->Seek(k);
+    return Status::OK();
   }
   Status SeekToFirst() {
-    if (is_mem) {
-      idx = 0;
-      return Status::OK();
+    switch (kind) {
+      case Kind::kSnapshot: idx = 0; break;
+      case Kind::kFrozen: pos = frozen->mem.begin(); break;
+      case Kind::kRow: return disk->SeekToFirst();
+      case Kind::kColumnar: row = 0; break;
     }
-    if (is_col) {
-      row = 0;
-      return Status::OK();
-    }
-    return disk->SeekToFirst();
+    return Status::OK();
   }
 
-  static Result<std::unique_ptr<Source>> ForComponent(ComponentPtr c,
-                                                      int rank) {
-    auto src = std::make_unique<Source>();
-    src->rank = rank;
+  static std::unique_ptr<Source> ForFrozen(Lifecycle::FrozenPtr imm) {
+    auto src = std::make_unique<Source>(Kind::kFrozen);
+    src->frozen = std::move(imm);
+    src->pos = src->frozen->mem.end();
+    return src;
+  }
+  static Result<std::unique_ptr<Source>> ForComponent(ComponentPtr c) {
+    auto src =
+        std::make_unique<Source>(c->columnar() ? Kind::kColumnar : Kind::kRow);
     src->comp = std::move(c);
-    if (src->comp->columnar()) {
-      src->is_col = true;
+    if (src->kind == Kind::kColumnar) {
       AX_ASSIGN_OR_RETURN(src->cols, src->comp->col->ReadAllColumns());
     } else {
-      src->disk =
-          std::make_unique<BTree::Iterator>(src->comp->tree->NewIterator());
+      src->disk.emplace(src->comp->tree->NewIterator());
     }
     return src;
   }
 };
 
-LsmBTree::Iterator::Iterator(std::vector<std::unique_ptr<Source>> sources)
-    : sources_(std::move(sources)) {}
+LsmBTree::Iterator::Iterator(std::vector<std::unique_ptr<Source>> sources,
+                             bool surface_antimatter)
+    : sources_(std::move(sources)), surface_antimatter_(surface_antimatter) {}
 LsmBTree::Iterator::Iterator(Iterator&&) noexcept = default;
 LsmBTree::Iterator& LsmBTree::Iterator::operator=(Iterator&&) noexcept =
     default;
 LsmBTree::Iterator::~Iterator() = default;
 
 Status LsmBTree::Iterator::Seek(const std::string& key) {
+  valid_ = false;
   for (auto& s : sources_) AX_RETURN_NOT_OK(s->Seek(key));
-  return Advance(true);
+  return Settle();
 }
 
 Status LsmBTree::Iterator::SeekToFirst() {
+  valid_ = false;
   for (auto& s : sources_) AX_RETURN_NOT_OK(s->SeekToFirst());
-  return Advance(true);
+  return Settle();
 }
 
-Status LsmBTree::Iterator::Next() { return Advance(false); }
-
-Status LsmBTree::Iterator::Advance(bool first) {
-  (void)first;
+Status LsmBTree::Iterator::Next() {
+  if (!valid_) return Status::OK();
   valid_ = false;
+  AX_RETURN_NOT_OK(StepPastKey());
+  return Settle();
+}
+
+Status LsmBTree::Iterator::StepPastKey() {
+  for (auto& s : sources_) {
+    while (s->valid() && s->key() == key_) AX_RETURN_NOT_OK(s->Next());
+  }
+  return Status::OK();
+}
+
+Status LsmBTree::Iterator::Settle() {
   while (true) {
-    // Find the smallest key across sources; the newest source wins.
-    const Source* winner = nullptr;
-    const std::string* min_key = nullptr;
-    for (const auto& s : sources_) {
+    Source* winner = nullptr;
+    std::string_view min_key;
+    for (const auto& s : sources_) {  // newest first: ties keep the newer
       if (!s->valid()) continue;
-      if (min_key == nullptr || s->key() < *min_key) {
-        min_key = &s->key();
+      std::string_view k = s->key();
+      if (winner == nullptr || k < min_key) {
         winner = s.get();
-      } else if (s->key() == *min_key && s->rank < winner->rank) {
-        winner = s.get();
+        min_key = k;
       }
     }
     if (winner == nullptr) return Status::OK();  // exhausted
-    std::string k = *min_key;
-    bool anti = winner->antimatter();
-    std::string v;
-    if (!anti) {
-      AX_ASSIGN_OR_RETURN(v, winner->value());
+    key_.assign(min_key);
+    antimatter_ = winner->antimatter();
+    if (!antimatter_) {
+      AX_ASSIGN_OR_RETURN(value_, winner->value());
+      valid_ = true;
+      return Status::OK();
     }
-    // Advance every source positioned at this key.
-    for (auto& s : sources_) {
-      while (s->valid() && s->key() == k) AX_RETURN_NOT_OK(s->Next());
+    if (surface_antimatter_) {
+      value_ = {};
+      valid_ = true;
+      return Status::OK();
     }
-    if (anti) continue;  // deleted — try the next key
-    key_ = std::move(k);
-    value_ = std::move(v);
-    valid_ = true;
-    return Status::OK();
+    AX_RETURN_NOT_OK(StepPastKey());  // deleted: try the next key
   }
 }
 
 Result<LsmBTree::Iterator> LsmBTree::NewIterator() const {
-  std::vector<std::unique_ptr<Iterator::Source>> sources;
-  auto mem_src = std::make_unique<Iterator::Source>();
-  mem_src->is_mem = true;
-  mem_src->rank = 0;
+  using Source = Iterator::Source;
+  std::vector<std::unique_ptr<Source>> sources;
+  auto mem_src = std::make_unique<Source>(Source::Kind::kSnapshot);
   Lifecycle::Stack stack = life_.Pin([&](const Format::Mem& mem) {
     mem_src->snapshot.assign(mem.begin(), mem.end());
   });
-  sources.push_back(std::move(mem_src));
-  int rank = 1;
+  if (!mem_src->snapshot.empty()) sources.push_back(std::move(mem_src));
   for (const auto& imm : stack.immutables) {  // newest first, like disk
-    auto src = std::make_unique<Iterator::Source>();
-    src->is_mem = true;
-    src->rank = rank++;
-    src->snapshot.assign(imm->mem.begin(), imm->mem.end());
-    sources.push_back(std::move(src));
+    sources.push_back(Source::ForFrozen(imm));
   }
   for (const auto& comp : stack.disk) {
-    AX_ASSIGN_OR_RETURN(auto src, Iterator::Source::ForComponent(comp, rank++));
+    AX_ASSIGN_OR_RETURN(auto src, Source::ForComponent(comp));
     sources.push_back(std::move(src));
   }
-  return Iterator(std::move(sources));
+  return Iterator(std::move(sources), /*surface_antimatter=*/false);
 }
 
 LsmBTree::ScanSnapshot LsmBTree::GetScanSnapshot() const {
@@ -435,41 +478,21 @@ LsmBTree::ScanSnapshot LsmBTree::GetScanSnapshot() const {
 
 Result<std::vector<LsmBTree::SnapshotEntry>> LsmBTree::BuildMergedRows(
     const std::vector<ComponentPtr>& victims, bool includes_oldest) {
-  // Build a merged stream over the victim components only. Victims are
-  // pinned by shared_ptr and immutable, so no lock is needed.
+  // Merge the victim components only. Victims are pinned by shared_ptr and
+  // immutable, so no lock is needed. A run that reaches the oldest
+  // component drops its deletes; any other keeps them to hide older rows.
   std::vector<std::unique_ptr<Iterator::Source>> sources;
-  int rank = 0;
   for (const auto& comp : victims) {
-    AX_ASSIGN_OR_RETURN(auto src, Iterator::Source::ForComponent(comp, rank++));
+    AX_ASSIGN_OR_RETURN(auto src, Iterator::Source::ForComponent(comp));
     sources.push_back(std::move(src));
   }
-  for (auto& s : sources) AX_RETURN_NOT_OK(s->SeekToFirst());
-
+  Iterator it(std::move(sources), /*surface_antimatter=*/!includes_oldest);
+  AX_RETURN_NOT_OK(it.SeekToFirst());
   std::vector<SnapshotEntry> rows;
-  while (true) {
-    Iterator::Source* winner = nullptr;
-    const std::string* min_key = nullptr;
-    for (auto& s : sources) {
-      if (!s->valid()) continue;
-      if (min_key == nullptr || s->key() < *min_key) {
-        min_key = &s->key();
-        winner = s.get();
-      } else if (s->key() == *min_key && s->rank < winner->rank) {
-        winner = s.get();
-      }
-    }
-    if (winner == nullptr) break;
-    std::string k = *min_key;
-    bool anti = winner->antimatter();
-    std::string v;
-    if (!anti) {
-      AX_ASSIGN_OR_RETURN(v, winner->value());
-    }
-    for (auto& s : sources) {
-      while (s->valid() && s->key() == k) AX_RETURN_NOT_OK(s->Next());
-    }
-    if (anti && includes_oldest) continue;  // nothing older to annihilate
-    rows.push_back(SnapshotEntry{std::move(k), anti, std::move(v)});
+  while (it.Valid()) {
+    rows.push_back(
+        SnapshotEntry{it.key(), it.antimatter(), std::string(it.value())});
+    AX_RETURN_NOT_OK(it.Next());
   }
   return rows;
 }

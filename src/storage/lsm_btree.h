@@ -16,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -76,6 +77,13 @@ class LsmBTree {
   /// Snapshot iterator over the merged view (newest version per key,
   /// antimatter suppressed). The snapshot is stable: flushes/merges after
   /// creation do not affect it.
+  ///
+  /// value() is a view, valid until the next Next, Seek, SeekToFirst or the
+  /// iterator's destruction. It points into a pinned leaf page, a buffer
+  /// the iterator owns (overflow values, decompressed or columnar entries),
+  /// the copied mutable memory component, or an immutable memory component
+  /// the iterator pins (DESIGN.md §4k). key() is an owned copy: keys are
+  /// short enough for std::string's inline buffer.
   class Iterator {
    public:
     Status Seek(const std::string& key);
@@ -83,16 +91,28 @@ class LsmBTree {
     bool Valid() const { return valid_; }
     Status Next();
     const std::string& key() const { return key_; }
-    const std::string& value() const { return value_; }
+    std::string_view value() const { return value_; }
 
    private:
     friend class LsmBTree;
     struct Source;
-    explicit Iterator(std::vector<std::unique_ptr<Source>> sources);
-    Status Advance(bool first);
+    /// `sources` newest first. With `surface_antimatter` a deleted key is
+    /// returned (antimatter() true, empty value) instead of skipped.
+    Iterator(std::vector<std::unique_ptr<Source>> sources,
+             bool surface_antimatter);
+    /// Lands on the smallest key across the sources, the newest source
+    /// winning a tie. Sources stay where they are until Next.
+    Status Settle();
+    /// Steps every source that holds a version of key_ past it.
+    Status StepPastKey();
+    bool antimatter() const { return antimatter_; }
+
     std::vector<std::unique_ptr<Source>> sources_;
+    bool surface_antimatter_ = false;
     bool valid_ = false;
-    std::string key_, value_;
+    bool antimatter_ = false;
+    std::string key_;
+    std::string_view value_;
 
    public:
     Iterator(Iterator&&) noexcept;
@@ -170,7 +190,8 @@ class LsmBTree {
   explicit LsmBTree(const LsmOptions& options);
 
   /// Merge victim components into one sorted row stream, keeping antimatter
-  /// unless the run includes the oldest component.
+  /// unless the run includes the oldest component. Drives the Iterator's
+  /// merge over the victims.
   static Result<std::vector<SnapshotEntry>> BuildMergedRows(
       const std::vector<ComponentPtr>& victims, bool includes_oldest);
 
@@ -180,7 +201,8 @@ class LsmBTree {
 /// Row-component entry codec, shared with external scan sources that read
 /// raw B+tree values out of a ScanSnapshot: each entry is a 1-byte marker
 /// (live / antimatter / live-compressed) followed by the payload.
-bool DiskEntryIsAntimatter(const std::string& raw);
-Result<std::string> DecodeDiskEntry(const std::string& raw);
+bool DiskEntryIsAntimatter(std::string_view raw);
+/// The live value of entry `raw`, into `*out` (replacing its contents).
+Status DecodeDiskEntry(std::string_view raw, std::string* out);
 
 }  // namespace asterix::storage

@@ -190,7 +190,7 @@ Status LsmRTree::Format::BuildMerge(const std::vector<ComponentPtr>& victims,
       auto it = victim->deleted->NewIterator();
       AX_RETURN_NOT_OK(it.SeekToFirst());
       while (it.Valid()) {
-        deleted.insert(it.key());
+        deleted.emplace(it.key());
         AX_RETURN_NOT_OK(it.Next());
       }
     }

@@ -100,7 +100,7 @@ class BTreeBackedSpatialIndex : public SpatialIndex {
       AX_ASSIGN_OR_RETURN(auto it, tree_->NewIterator());
       AX_RETURN_NOT_OK(it.Seek(lo_key));
       while (it.Valid() && it.key() <= hi_bound) {
-        const std::string& v = it.value();
+        std::string_view v = it.value();
         if (v.size() == 16) {
           adm::Point pt;
           std::memcpy(&pt.x, v.data(), 8);

@@ -7,13 +7,17 @@
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
+#include <new>
 #include <set>
 #include <thread>
 
 #include "adm/json.h"
+#include "adm/key_encoder.h"
 #include "asterix/instance.h"
 #include "common/metrics.h"
 #include "hyracks/profile.h"
+#include "storage/buffer_cache.h"
+#include "storage/lsm_btree.h"
 
 // ---- allocation tracking ----------------------------------------------------
 // Global operator new/delete overrides counting every heap allocation in
@@ -30,6 +34,16 @@ void* operator new(std::size_t n) {
   return p;
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
+// The nothrow forms (std::stable_sort's temporary buffer uses them) must be
+// replaced too: their deletes are the `free`-backed ones below, and a
+// sanitizer's own nothrow `new` paired with `free` is a mismatch.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n ? n : 1);
+}
+void* operator new[](std::size_t n, const std::nothrow_t& tag) noexcept {
+  return ::operator new(n, tag);
+}
 // The replacement `new` above is malloc-backed, so `free` is the matching
 // deallocator; GCC's -Wmismatched-new-delete can't see that pairing.
 #if defined(__GNUC__)
@@ -40,6 +54,10 @@ void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 #if defined(__GNUC__)
 #pragma GCC diagnostic pop
 #endif
@@ -155,6 +173,46 @@ TEST(MetricsTest, EnabledUpdatesAreZeroAllocation) {
   EXPECT_EQ(g_alloc_count.load(), allocs_before)
       << "enabled counter updates are a relaxed fetch_add — no allocation";
   EXPECT_EQ(c->value(), 10000u);
+}
+
+// A row scan hands out views of pinned leaf pages, and pinning a page
+// moves a list node instead of allocating one: scanning a flushed
+// component allocates far less than once per record.
+TEST(MetricsTest, FlushedComponentScanAllocatesSublinearly) {
+  constexpr int kN = 10000;
+  const std::string dir = ::testing::TempDir() + "axmetrics_scan_allocs";
+  std::filesystem::remove_all(dir);
+  storage::BufferCache cache(1024);
+  storage::LsmOptions o;
+  o.dir = dir;
+  o.name = "scan";
+  o.cache = &cache;
+  o.mem_budget_bytes = 1u << 30;
+  {
+    auto tree = storage::LsmBTree::Open(o).value();
+    for (int i = 0; i < kN; i++) {
+      ASSERT_TRUE(tree->Put(adm::EncodeKey(adm::Value::Int(i)).value(),
+                            std::string(100, static_cast<char>('a' + i % 26)))
+                      .ok());
+    }
+    ASSERT_TRUE(tree->Flush().ok());
+    auto it = tree->NewIterator().value();
+    const uint64_t allocs_before = g_alloc_count.load();
+    ASSERT_TRUE(it.SeekToFirst().ok());
+    int rows = 0;
+    size_t bytes = 0;
+    while (it.Valid()) {
+      rows++;
+      bytes += it.value().size();
+      ASSERT_TRUE(it.Next().ok());
+    }
+    const uint64_t allocs = g_alloc_count.load() - allocs_before;
+    EXPECT_EQ(rows, kN);
+    EXPECT_EQ(bytes, static_cast<size_t>(kN) * 100);
+    EXPECT_LT(allocs, static_cast<uint64_t>(kN / 10))
+        << "a scan must not copy or allocate per record";
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(MetricsTest, ScopedTimerAccumulates) {

@@ -243,6 +243,65 @@ TEST_F(StorageTest, BTreeOverflowValues) {
   EXPECT_EQ(i, 50);
 }
 
+// The iterator hands out views: inline entries point into the pinned leaf,
+// overflow values into a buffer the iterator owns. A view stays valid
+// while other readers churn the cache, until the iterator moves.
+TEST_F(StorageTest, BTreeIteratorViewsOverflowEntries) {
+  constexpr int kN = 400;
+  auto builder = BTreeBuilder::Create(Path("t.btree")).value();
+  Rng rng(11);
+  std::vector<std::string> values;
+  for (int i = 0; i < kN; i++) {
+    // Runs of three overflow values (the buffer is reused) between inline
+    // ones that fill several leaves; overflow lengths straddle the page
+    // payload size.
+    size_t len = i % 10 < 3 ? kPageSize - 4 + static_cast<size_t>(i) * 13 : 200;
+    values.push_back(rng.NextString(len));
+    ASSERT_TRUE(builder->Add(IntKey(i), values.back()).ok());
+  }
+  (void)builder->Finish().value();
+  BufferCache cache(6);  // a few frames: the churning reader must evict
+  auto tree = BTree::Open(Path("t.btree"), &cache).value();
+
+  auto it = tree->NewIterator();
+  ASSERT_TRUE(it.SeekToFirst().ok());
+  for (int i = 0; i < kN; i++) {
+    ASSERT_TRUE(it.Valid()) << i;
+    EXPECT_EQ(it.key(), IntKey(i)) << i;
+    EXPECT_EQ(it.value(), values[i]) << i;
+    ASSERT_TRUE(it.Next().ok());
+  }
+  EXPECT_FALSE(it.Valid());
+
+  auto inline_it = tree->NewIterator();
+  ASSERT_TRUE(inline_it.Seek(IntKey(7)).ok());
+  auto overflow_it = tree->NewIterator();
+  ASSERT_TRUE(tree->Find(IntKey(201), &overflow_it).value());
+  const std::string_view inline_key = inline_it.key();
+  const std::string_view inline_value = inline_it.value();
+  const std::string_view overflow_value = overflow_it.value();
+  for (int pass = 0; pass < 2; pass++) {
+    auto churn = tree->NewIterator();
+    ASSERT_TRUE(churn.SeekToFirst().ok());
+    while (churn.Valid()) ASSERT_TRUE(churn.Next().ok());
+  }
+  EXPECT_GT(cache.stats().evictions, 0u);
+  EXPECT_EQ(inline_key, IntKey(7));
+  EXPECT_EQ(inline_value, values[7]);
+  EXPECT_EQ(overflow_value, values[201]);
+
+  // Find lands on inline and overflow entries alike, and misses cleanly.
+  ASSERT_TRUE(tree->Find(IntKey(395), &overflow_it).value());
+  EXPECT_EQ(overflow_it.value(), values[395]);
+  ASSERT_TRUE(tree->Find(IntKey(392), &overflow_it).value());
+  EXPECT_EQ(overflow_it.value(), values[392]);
+  EXPECT_FALSE(tree->Find(IntKey(kN), &overflow_it).value());
+  EXPECT_FALSE(overflow_it.Valid());
+  std::string v;
+  ASSERT_TRUE(tree->Get(IntKey(392), &v).value());
+  EXPECT_EQ(v, values[392]);
+}
+
 TEST_F(StorageTest, BTreeRejectsOutOfOrderKeys) {
   auto builder = BTreeBuilder::Create(Path("t.btree")).value();
   ASSERT_TRUE(builder->Add(IntKey(5), "x").ok());

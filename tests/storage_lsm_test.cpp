@@ -3,13 +3,19 @@
 // merge-policy cases run over the LSM R-tree too.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <map>
+#include <thread>
 #include <utility>
 
 #include "adm/key_encoder.h"
+#include "adm/serde.h"
+#include "common/rng.h"
 #include "lsm_tree_ops.h"
 #include "storage/lsm_btree.h"
+#include "storage/maintenance.h"
 
 namespace asterix::storage {
 namespace {
@@ -275,6 +281,163 @@ TEST_F(LsmTest, SeekWithinMergedView) {
   parts = adm::DecodeKey(it.key()).value();
   EXPECT_EQ(parts[0].AsInt(), 38);
   EXPECT_EQ(it.value(), "even");
+}
+
+// ---- Iterator parity with a reference map ---------------------------------
+
+// A record-shaped value (columnar components need ADM objects). Small ones
+// repeat an 8-byte block, so compression takes them; about one in 25 holds
+// an incompressible string longer than a page, so row components read it
+// through an overflow chain.
+std::string RecordValue(Rng* rng, int64_t k) {
+  std::string s;
+  if (rng->Uniform(25) == 0) {
+    s = rng->NextString(2 * kPageSize + rng->Uniform(100));
+  } else {
+    const std::string block = rng->NextString(8);
+    for (uint64_t n = 1 + rng->Uniform(16); n > 0; n--) s += block;
+  }
+  adm::FieldVec fields;
+  fields.emplace_back("id", adm::Value::Int(k));
+  fields.emplace_back("s", adm::Value::String(std::move(s)));
+  return adm::Serialize(adm::Value::Object(std::move(fields)));
+}
+
+using Model = std::map<std::string, std::string>;
+using Rows = std::vector<std::pair<std::string, std::string>>;
+
+Rows ScanFrom(LsmBTree::Iterator* it, size_t limit) {
+  Rows rows;
+  while (it->Valid() && rows.size() < limit) {
+    rows.emplace_back(it->key(), it->value());
+    EXPECT_TRUE(it->Next().ok());
+  }
+  return rows;
+}
+
+Rows ModelFrom(const Model& model, const std::string& from, size_t limit) {
+  Rows rows;
+  for (auto it = model.lower_bound(from);
+       it != model.end() && rows.size() < limit; ++it) {
+    rows.emplace_back(*it);
+  }
+  return rows;
+}
+
+// A randomized stack holding every kind of merge source at once: two row
+// disk components, a columnar one, pending immutable memory components and
+// the mutable one, with overwrites and deletes across all of them. The
+// merged iterator must read exactly what a std::map of the same writes
+// holds, from the start and from any Seek, with compression on and off.
+// Views read before a flush and a full merge replace the components under
+// live iterators must still return the pinned bytes.
+TEST_F(LsmTest, IteratorMatchesReferenceOverEveryComponentKind) {
+  constexpr int64_t kKeys = 500;
+  for (bool compress : {false, true}) {
+    SCOPED_TRACE(compress ? "compressed" : "uncompressed");
+    Rng rng(compress ? 17 : 16);
+    Model model;
+    auto churn = [&](LsmBTree* tree, int ops) {
+      for (int i = 0; i < ops; i++) {
+        int64_t k = static_cast<int64_t>(rng.Uniform(kKeys));
+        if (rng.Uniform(5) == 0) {
+          ASSERT_TRUE(tree->Delete(IntKey(k)).ok());
+          model.erase(IntKey(k));
+        } else {
+          std::string v = RecordValue(&rng, k);
+          ASSERT_TRUE(tree->Put(IntKey(k), v).ok());
+          model[IntKey(k)] = std::move(v);
+        }
+      }
+    };
+    LsmOptions opts = Options(/*mem_budget=*/1u << 30);
+    opts.name = compress ? "zc" : "zu";
+    opts.compress_values = compress;
+    {  // two row components, then a columnar one on top
+      auto tree = LsmBTree::Open(opts).value();
+      churn(tree.get(), 400);
+      ASSERT_TRUE(tree->Flush().ok());
+      churn(tree.get(), 300);
+      ASSERT_TRUE(tree->Flush().ok());
+    }
+    {
+      LsmOptions col = opts;
+      col.storage_format = StorageFormat::kColumnar;
+      auto tree = LsmBTree::Open(col).value();
+      churn(tree.get(), 300);
+      ASSERT_TRUE(tree->Flush().ok());
+      ASSERT_EQ(tree->stats().columnar_components, 1u);
+    }
+    // Immutable memory components stay pending behind a blocked scheduler.
+    MaintenanceScheduler sched(1);
+    std::atomic<bool> released{false};
+    sched.Submit([&] {
+      while (!released.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+    LsmOptions mem = opts;
+    mem.scheduler = &sched;
+    mem.mem_budget_bytes = 4096;
+    mem.max_pending_immutables = 1000;
+    auto tree = LsmBTree::Open(mem).value();
+    // Unblocks the worker on every exit, a failed assertion included,
+    // before the tree waits for its queued flushes.
+    struct Release {
+      std::atomic<bool>* flag;
+      ~Release() { flag->store(true); }
+    } release{&released};
+    churn(tree.get(), 150);
+    ASSERT_GE(tree->stats().pending_immutables, 2u);
+    ASSERT_GT(tree->stats().mem_entries, 0u);
+    ASSERT_EQ(tree->stats().disk_components, 3u);
+
+    auto it = tree->NewIterator().value();
+    ASSERT_TRUE(it.SeekToFirst().ok());
+    EXPECT_EQ(ScanFrom(&it, SIZE_MAX), Rows(model.begin(), model.end()));
+    for (int probe = 0; probe < 60; probe++) {
+      std::string from = IntKey(static_cast<int64_t>(rng.Uniform(kKeys + 20)) - 10);
+      ASSERT_TRUE(it.Seek(from).ok());
+      EXPECT_EQ(ScanFrom(&it, 12), ModelFrom(model, from, 12)) << probe;
+    }
+
+    // One live iterator per probe key holds its view while the tree
+    // overwrites the key, flushes every memory component and merges every
+    // disk component into one.
+    const Model before = model;
+    std::vector<std::string> probes;
+    for (int64_t k = 0; k < kKeys && probes.size() < 24; k += 1 + rng.Uniform(40)) {
+      if (model.count(IntKey(k))) probes.push_back(IntKey(k));
+    }
+    std::vector<LsmBTree::Iterator> held;
+    std::vector<std::string_view> views;
+    for (const auto& key : probes) {
+      held.push_back(tree->NewIterator().value());
+      ASSERT_TRUE(held.back().Seek(key).ok());
+      ASSERT_TRUE(held.back().Valid());
+      ASSERT_EQ(held.back().key(), key);
+      views.push_back(held.back().value());
+    }
+    for (const auto& key : probes) {
+      ASSERT_TRUE(tree->Put(key, "overwritten").ok());
+      model[key] = "overwritten";
+    }
+    released.store(true);
+    ASSERT_TRUE(tree->Flush().ok());
+    ASSERT_TRUE(tree->ForceFullMerge().ok());
+    ASSERT_EQ(tree->stats().disk_components, 1u);
+    for (size_t i = 0; i < probes.size(); i++) {
+      EXPECT_EQ(views[i], before.at(probes[i])) << i;
+    }
+    // The first held iterator reads its pinned stack to the end.
+    ASSERT_FALSE(held.empty());
+    EXPECT_EQ(ScanFrom(&held.front(), SIZE_MAX),
+              ModelFrom(before, probes.front(), SIZE_MAX));
+    held.clear();
+    auto fresh = tree->NewIterator().value();
+    ASSERT_TRUE(fresh.SeekToFirst().ok());
+    EXPECT_EQ(ScanFrom(&fresh, SIZE_MAX), Rows(model.begin(), model.end()));
+  }
 }
 
 // ---- Lifecycle behaviour shared by both LSM trees --------------------------
